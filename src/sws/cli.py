@@ -124,18 +124,26 @@ def train_config(cfg: dict, **forced) -> TrainConfig:
         raise CliError(f"train section: {e}") from None
 
 
+_DATA_KEYS = {"synthetic": ("n", "classes", "size"), "idx": ("images", "labels")}
+
+
 def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
     section = cfg.get("data")
     if not isinstance(section, dict):
         raise CliError("config needs a 'data' section")
-    if "synthetic" in section:
-        s = section["synthetic"]
-        full = make_synthetic(int(s["n"]), int(s["classes"]), int(s["size"]), int(s.get("seed", 0)))
-    elif "idx" in section:
-        s = section["idx"]
-        full = load_idx(s["images"], s["labels"])
-    else:
+    kind = next((k for k in _DATA_KEYS if k in section), None)
+    if kind is None:
         raise CliError("data section needs 'synthetic' or 'idx'")
+    s = section[kind]
+    if not isinstance(s, dict):
+        raise CliError(f"data.{kind} must be an object")
+    missing = [k for k in _DATA_KEYS[kind] if k not in s]
+    if missing:
+        raise CliError(f"data.{kind} needs {', '.join(map(repr, missing))}")
+    if kind == "synthetic":
+        full = make_synthetic(int(s["n"]), int(s["classes"]), int(s["size"]), int(s.get("seed", 0)))
+    else:
+        full = load_idx(s["images"], s["labels"])
     fraction = float(section.get("train_fraction", 0.8))
     return split(full, fraction, int(section.get("split_seed", 0)))
 

@@ -278,6 +278,37 @@ def test_exit_4_on_bad_idx_data(tmp_path):
     assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 4
 
 
+def test_exit_2_on_malformed_synthetic_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, data={"synthetic": {"classes": 3, "size": 8}})
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "'n'" in capsys.readouterr().err
+    cfg = write_config(tmp_path, data={"synthetic": [120, 3, 8]})
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+
+
+def write_idx_config(tmp_path, idx):
+    raw = json.loads(json.dumps(BASE))
+    raw["data"] = {"idx": idx, "train_fraction": 0.8}
+    cfg = tmp_path / "idx.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_exit_2_on_idx_data_without_labels(tmp_path, capsys):
+    cfg = write_idx_config(tmp_path, {"images": str(tmp_path / "img.idx")})
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "'labels'" in capsys.readouterr().err
+
+
+def test_exit_4_on_empty_idx_data(tmp_path):
+    img = tmp_path / "img.idx"
+    lab = tmp_path / "lab.idx"
+    img.write_bytes(b"\x00\x00\x08\x03" + b"\x00\x00\x00\x00" + b"\x00\x00\x00\x08" * 2)
+    lab.write_bytes(b"\x00\x00\x08\x01" + b"\x00\x00\x00\x00")
+    cfg = write_idx_config(tmp_path, {"images": str(img), "labels": str(lab)})
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 4
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_exit_5_on_numeric_blowup(tmp_path):
     # A checkpoint crafted to overflow float32 inside attention: the norm

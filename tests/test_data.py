@@ -1,9 +1,13 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sws.data import (
+    _CHUNK,
     DataError,
     Dataset,
     IdxFormatError,
@@ -24,6 +28,54 @@ def test_fnv1a64_published_vectors():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def fnv1a64_reference(data: bytes) -> int:
+    # The definition, one byte at a time.
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(0, 2 * _CHUNK + 70), seed=st.integers(0, 2**32 - 1))
+@example(length=0, seed=0)
+@example(length=1, seed=0)
+@example(length=63, seed=1)
+@example(length=64, seed=2)
+@example(length=65, seed=3)
+@example(length=_CHUNK - 1, seed=4)
+@example(length=_CHUNK, seed=5)
+@example(length=_CHUNK + 1, seed=6)
+def test_fnv1a64_matches_scalar_reference(length, seed):
+    data = np.random.default_rng(seed).integers(0, 256, length, dtype=np.uint8).tobytes()
+    assert fnv1a64(data) == fnv1a64_reference(data)
+
+
+def test_content_hash_golden_value():
+    # Logit caches store this digest: a change here makes every cache stale.
+    assert make_synthetic(64, 10, 12, 0).content_hash == 0x7C6142218AAFEAC2
+
+
+def test_content_hash_ignores_byte_order_and_layout():
+    ds = make_synthetic(40, 3, 5, seed=2)
+    for images in (ds.images.astype(">f4"), np.asfortranarray(ds.images)):
+        other = Dataset(images=ds.images, labels=ds.labels, num_classes=3, source="x")
+        other.images = images  # big-endian images fail validation, so swap them in afterwards
+        assert other.content_hash == ds.content_hash
+
+
+def test_content_hash_makes_no_full_copy():
+    images = np.random.default_rng(0).random((2560, 1, 32, 32), dtype=np.float32)  # 10 MiB
+    ds = Dataset(images=images, labels=np.arange(2560) % 10, num_classes=10, source="x")
+    tracemalloc.start()
+    try:
+        ds.content_hash
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 4
 
 
 def test_content_hash_matches_manual_recompute():
