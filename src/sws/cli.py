@@ -41,7 +41,7 @@ _EPILOG = """exit codes:
   0  success
   2  config or validation problem (bad flag, bad value, inconsistent sections)
   3  file I/O problem (missing path, unreadable file)
-  4  malformed or mismatched artifact (bad magic/kind/version, stale cache, bad IDX)
+  4  malformed or mismatched artifact (bad magic/kind/version/meta, stale cache, bad IDX)
   5  numeric divergence during training
   1  unexpected failure
 """

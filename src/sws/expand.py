@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .rng import SplitMix64
-from .sharing import LearngenePack, PlanError, StagePlan, custom_plan
-from .tensor import Tensor
+from .sharing import LearngenePack, StagePlan, custom_plan, extract_learngene
 from .vit import ModelParams, reinit_head
 
 GROUPS = ("front", "mid", "last")
@@ -172,20 +171,8 @@ def init_descendant(pack: LearngenePack, spec: DescendantSpec) -> tuple[ModelPar
     receives its own deep copy of the assigned stage set.
     """
     assignment = assignment_for(pack.plan, spec)
-    cfg = replace(pack.cfg, depth=spec.depth)
-
-    def cp(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), requires_grad=True)
-
-    params = ModelParams(
-        cfg=cfg,
-        patch_w=cp(pack.patch_w), patch_b=cp(pack.patch_b),
-        cls_token=cp(pack.cls_token), pos_embed=cp(pack.pos_embed),
-        layers=[pack.layer_sets[m].clone() for m in assignment],
-        final_ln_g=cp(pack.final_ln_g), final_ln_b=cp(pack.final_ln_b),
-        head_w=cp(pack.head_w), head_b=cp(pack.head_b),
-        plan=None,
-    )
+    sets = pack.layer_sets
+    params = pack.clone([sets[m] for m in assignment])
     classes = spec.classes if spec.classes is not None else pack.cfg.classes
     if classes != pack.cfg.classes:
         reinit_head(params, classes, spec.seed)
@@ -200,21 +187,7 @@ def pack_from_vanilla(model: ModelParams) -> LearngenePack:
     """
     if model.plan is not None:
         raise ExpandError("expected an untied model, this one carries a tying plan")
-
-    def cp(name: str) -> Tensor:
-        t = getattr(model, name)
-        return Tensor(t.data.copy(), requires_grad=True)
-
-    return LearngenePack(
-        cfg=model.cfg,
-        plan=custom_plan([1] * len(model.layers)),
-        layer_sets=[lp.clone() for lp in model.layers],
-        patch_w=cp("patch_w"), patch_b=cp("patch_b"),
-        cls_token=cp("cls_token"), pos_embed=cp("pos_embed"),
-        final_ln_g=cp("final_ln_g"), final_ln_b=cp("final_ln_b"),
-        head_w=cp("head_w"), head_b=cp("head_b"),
-        provenance={"source": "vanilla"},
-    )
+    return extract_learngene(replace(model, plan=custom_plan([1] * len(model.layers))), {"source": "vanilla"})
 
 
 def simple_lg_expand(model: ModelParams, spec: DescendantSpec) -> tuple[ModelParams, list[tuple[int, int]]]:

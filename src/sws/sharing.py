@@ -7,19 +7,18 @@ stage of size s applies its block s times in sequence. Gradient accumulation
 in the tensor core then sums the per-position contributions into the shared
 storage with no extra bookkeeping here.
 
-Extraction deep-copies the per-stage sets plus the shared components into a
-LearngenePack, the unit that gets persisted and later expanded into
-descendants of other depths.
+A learngene pack is such a tied model (stage sets plus plan) plus
+provenance. Extraction clones the auxiliary model with its tying intact; the
+pack is persisted in the same layout as a tied checkpoint, under geneNN
+tensor names, and later expanded into descendants of other depths.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
 from .vit import LayerParams, ModelConfig, ModelParams, build_params
 
 PACK_VERSION = 1
@@ -126,35 +125,22 @@ def stage_sets(params: ModelParams) -> list[LayerParams]:
 
 def materialize_untied(params: ModelParams) -> ModelParams:
     """Deep-copied clone with every position holding its own parameter set."""
-    clone = copy.copy(params)
-    clone.layers = [lp.clone() for lp in params.layers]
-    for name in ModelParams.SHARED_FIELDS:
-        t = getattr(params, name)
-        setattr(clone, name, Tensor(t.data.copy(), requires_grad=t.requires_grad))
-    clone.plan = None
-    return clone
+    return params.clone()
 
 
 # ---- extraction ----------------------------------------------------------------
 
 
 @dataclass
-class LearngenePack:
-    """Per-stage layer sets plus the shared components, all owned copies."""
+class LearngenePack(ModelParams):
+    """A tied model (stage sets + plan) plus provenance, all owned copies."""
 
-    cfg: ModelConfig
-    plan: StagePlan
-    layer_sets: list[LayerParams]
-    patch_w: Tensor
-    patch_b: Tensor
-    cls_token: Tensor
-    pos_embed: Tensor
-    final_ln_g: Tensor
-    final_ln_b: Tensor
-    head_w: Tensor
-    head_b: Tensor
     provenance: dict = field(default_factory=dict)
     version: int = PACK_VERSION
+
+    @property
+    def layer_sets(self) -> list[LayerParams]:
+        return stage_sets(self)
 
     @property
     def num_stages(self) -> int:
@@ -163,19 +149,5 @@ class LearngenePack:
 
 def extract_learngene(aux: ModelParams, provenance: dict | None = None) -> LearngenePack:
     """Pull the stage parameter sets out of a tied model as independent copies."""
-    sets = stage_sets(aux)  # validates tying against the plan
-
-    def cp(name: str) -> Tensor:
-        t = getattr(aux, name)
-        return Tensor(t.data.copy(), requires_grad=True)
-
-    return LearngenePack(
-        cfg=aux.cfg,
-        plan=aux.plan,
-        layer_sets=[lp.clone() for lp in sets],
-        patch_w=cp("patch_w"), patch_b=cp("patch_b"),
-        cls_token=cp("cls_token"), pos_embed=cp("pos_embed"),
-        final_ln_g=cp("final_ln_g"), final_ln_b=cp("final_ln_b"),
-        head_w=cp("head_w"), head_b=cp("head_b"),
-        provenance=dict(provenance or {}),
-    )
+    check_tying(aux)
+    return LearngenePack(**vars(aux.clone(plan=aux.plan)), provenance=dict(provenance or {}))

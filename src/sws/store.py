@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .sharing import LearngenePack, StagePlan, check_tying, custom_plan
+from .sharing import PACK_VERSION, LearngenePack, StagePlan, stage_sets
 from .tensor import Tensor
 from .train import LogitCache
 from .vit import LayerParams, ModelConfig, ModelParams
@@ -172,92 +172,82 @@ def load(path, expected_kind: str) -> tuple[dict[str, np.ndarray], dict]:
     return out, meta
 
 
-# ---- model checkpoints -----------------------------------------------------------
+# ---- models: checkpoints and learngene packs ------------------------------------
 
 
-def _layer_arrays(prefix: str, lp: LayerParams) -> Iterable[tuple[str, np.ndarray]]:
-    for name, t in lp.named():
-        yield f"{prefix}.{name}", t.data
+def _set_prefix(kind: str, plan) -> str:
+    if kind == "learngene":
+        return "gene"
+    return "layer" if plan is None else "stage"
 
 
-def _layer_from(arrays: dict[str, np.ndarray], prefix: str) -> LayerParams:
-    kw = {}
-    for name in LayerParams.FIELDS:
-        key = f"{prefix}.{name}"
-        if key not in arrays:
-            raise HeaderError(f"checkpoint is missing tensor {key!r}")
-        kw[name] = Tensor(arrays[key], requires_grad=True)
-    return LayerParams(**kw)
+def _save_model(path, kind: str, params: ModelParams, meta: dict) -> None:
+    """Shared tensors by field name, then one layer set per stage (tied) or per
+    position (untied) as "<prefix>NN.<field>"; meta gains "cfg", and "plan" when tied."""
+    pairs = [(name, getattr(params, name).data) for name in ModelParams.SHARED_FIELDS]
+    sets = params.layers if params.plan is None else stage_sets(params)
+    prefix = _set_prefix(kind, params.plan)
+    for m, lp in enumerate(sets):
+        pairs.extend((f"{prefix}{m:02d}.{name}", t.data) for name, t in lp.named())
+    meta = {"cfg": params.cfg.to_dict(), **meta}
+    if params.plan is not None:
+        meta["plan"] = list(params.plan.stage_sizes)
+    save(path, kind, pairs, meta)
 
 
-def _shared_arrays(params) -> Iterable[tuple[str, np.ndarray]]:
-    for name in ModelParams.SHARED_FIELDS:
-        yield name, getattr(params, name).data
+def _load_model(path, kind: str) -> tuple[ModelParams, dict]:
+    """Inverse of _save_model. Header meta is checked before any tensor is read,
+    and every problem with it is a HeaderError (or VersionError)."""
+    arrays, meta = load(path, kind)
+    if not isinstance(meta, dict) or "cfg" not in meta:
+        raise HeaderError(f"{path}: header meta has no 'cfg'")
+    try:
+        cfg = ModelConfig.from_dict(meta["cfg"])
+    except (TypeError, ValueError) as e:
+        raise HeaderError(f"{path}: bad meta 'cfg': {e}") from None
+    plan = None
+    if "plan" in meta:
+        try:
+            plan = StagePlan(tuple(meta["plan"]))
+        except (TypeError, ValueError) as e:
+            raise HeaderError(f"{path}: bad meta 'plan' {meta['plan']!r}: {e}") from None
+        if plan.total_layers != cfg.depth:
+            raise HeaderError(f"{path}: plan covers {plan.total_layers} layers but cfg.depth is {cfg.depth}")
+    elif kind == "learngene":
+        raise HeaderError(f"{path}: learngene header meta has no 'plan'")
+    if kind == "learngene" and meta.get("pack_version", PACK_VERSION) != PACK_VERSION:
+        raise VersionError(f"{path}: pack version {meta['pack_version']!r}, this build reads {PACK_VERSION}")
 
-
-def _shared_kwargs(arrays: dict[str, np.ndarray]) -> dict:
-    kw = {}
-    for name in ModelParams.SHARED_FIELDS:
+    def tensor(name: str) -> Tensor:
         if name not in arrays:
-            raise HeaderError(f"artifact is missing tensor {name!r}")
-        kw[name] = Tensor(arrays[name], requires_grad=True)
-    return kw
+            raise HeaderError(f"{path}: missing tensor {name!r}")
+        return Tensor(arrays[name], requires_grad=True)
+
+    shared = {name: tensor(name) for name in ModelParams.SHARED_FIELDS}
+    prefix = _set_prefix(kind, plan)
+    sets = [LayerParams(**{name: tensor(f"{prefix}{m:02d}.{name}") for name in LayerParams.FIELDS})
+            for m in range(cfg.depth if plan is None else plan.num_stages)]
+    layers = sets if plan is None else [sets[m] for m in plan.stage_of_position()]
+    return ModelParams(cfg=cfg, layers=layers, plan=plan, **shared), meta
 
 
 def save_checkpoint(params: ModelParams, path, provenance: dict | None = None) -> None:
     """Tied models store one stage set per stage plus the plan; untied models
     store one set per position. Either way the load reproduces the aliasing."""
-    pairs = list(_shared_arrays(params))
-    meta: dict = {"cfg": params.cfg.to_dict(), "provenance": provenance or {}}
-    if params.plan is not None:
-        check_tying(params)
-        from .sharing import stage_sets
-        for m, lp in enumerate(stage_sets(params)):
-            pairs.extend(_layer_arrays(f"stage{m:02d}", lp))
-        meta["plan"] = list(params.plan.stage_sizes)
-    else:
-        for i, lp in enumerate(params.layers):
-            pairs.extend(_layer_arrays(f"layer{i:02d}", lp))
-    save(path, "checkpoint", pairs, meta)
+    _save_model(path, "checkpoint", params, {"provenance": provenance or {}})
 
 
 def load_checkpoint(path) -> ModelParams:
-    arrays, meta = load(path, "checkpoint")
-    cfg = ModelConfig.from_dict(meta["cfg"])
-    shared = _shared_kwargs(arrays)
-    if "plan" in meta:
-        plan = StagePlan(tuple(int(s) for s in meta["plan"]))
-        sets = [_layer_from(arrays, f"stage{m:02d}") for m in range(plan.num_stages)]
-        layers = [sets[m] for m in plan.stage_of_position()]
-    else:
-        plan = None
-        layers = [_layer_from(arrays, f"layer{i:02d}") for i in range(cfg.depth)]
-    return ModelParams(cfg=cfg, layers=layers, plan=plan, **shared)
-
-
-# ---- learngene packs ---------------------------------------------------------------
+    return _load_model(path, "checkpoint")[0]
 
 
 def save_learngene(pack: LearngenePack, path) -> None:
-    pairs = list(_shared_arrays(pack))
-    for m, lp in enumerate(pack.layer_sets):
-        pairs.extend(_layer_arrays(f"gene{m:02d}", lp))
-    meta = {"cfg": pack.cfg.to_dict(), "plan": list(pack.plan.stage_sizes),
-            "provenance": pack.provenance, "pack_version": pack.version}
-    save(path, "learngene", pairs, meta)
+    _save_model(path, "learngene", pack, {"provenance": pack.provenance, "pack_version": pack.version})
 
 
 def load_learngene(path) -> LearngenePack:
-    arrays, meta = load(path, "learngene")
-    plan = custom_plan(meta["plan"])
-    return LearngenePack(
-        cfg=ModelConfig.from_dict(meta["cfg"]),
-        plan=plan,
-        layer_sets=[_layer_from(arrays, f"gene{m:02d}") for m in range(plan.num_stages)],
-        provenance=meta.get("provenance", {}),
-        version=int(meta.get("pack_version", 1)),
-        **_shared_kwargs(arrays),
-    )
+    model, meta = _load_model(path, "learngene")
+    return LearngenePack(**vars(model), provenance=meta.get("provenance", {}))
 
 
 # ---- teacher logit caches -------------------------------------------------------------

@@ -21,7 +21,7 @@ this property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -164,11 +164,6 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = pending.get(id(p))
             pending[id(p)] = pg if prev is None else prev + pg
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _check_dtypes(*tensors: Tensor) -> None:

@@ -140,6 +140,28 @@ class ModelParams:
             for name, t in layer.named():
                 yield f"layer{i:02d}.{name}", t
 
+    def clone(self, layers: "list[LayerParams] | None" = None, plan=None) -> "ModelParams":
+        """Owned copies of the shared tensors and of ``layers`` (default: this
+        model's), as a ModelParams whose cfg.depth is the length of ``layers``.
+
+        With a plan, positions that hold one set share one copy, so the tying
+        carries over; without one, every position gets its own copy.
+        """
+        layers = self.layers if layers is None else layers
+        if plan is None:
+            copies = [lp.clone() for lp in layers]
+        else:
+            owned: dict[int, LayerParams] = {}
+            for lp in layers:
+                if id(lp) not in owned:
+                    owned[id(lp)] = lp.clone()
+            copies = [owned[id(lp)] for lp in layers]
+        shared = {}
+        for name in self.SHARED_FIELDS:
+            t = getattr(self, name)
+            shared[name] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
+        return ModelParams(cfg=replace(self.cfg, depth=len(layers)), layers=copies, plan=plan, **shared)
+
     def unique_tensors(self) -> list[tuple[str, Tensor]]:
         """Tensors deduplicated by object identity, first name wins."""
         seen: set[int] = set()
@@ -161,8 +183,15 @@ def count_params(params: ModelParams, unique_only: bool = True) -> int:
 # ---- construction -------------------------------------------------------------
 
 
-def _init_layer(cfg: ModelConfig, rng: SplitMix64, dtype) -> LayerParams:
-    d, m3, hid = cfg.width, 3 * cfg.width, cfg.mlp_dim
+def build_params(cfg: ModelConfig, seed: int, position_to_set: list[int], plan=None, dtype=np.float32) -> ModelParams:
+    """Shared builder: allocates max(position_to_set)+1 distinct layer sets and
+    places them by position. Untied models map position i to set i.
+
+    Draw order: patch_w, cls_token, pos_embed, then per set qkv_w, out_w,
+    up_w, down_w, then head_w; every other tensor is constant."""
+    rng = SplitMix64(seed)
+    dtype = np.dtype(dtype).type
+    d, hid = cfg.width, cfg.mlp_dim
 
     def w(shape):
         return Tensor(rng.truncated_normal(shape, std=INIT_STD).astype(dtype), requires_grad=True)
@@ -173,36 +202,23 @@ def _init_layer(cfg: ModelConfig, rng: SplitMix64, dtype) -> LayerParams:
     def ones(shape):
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
-    return LayerParams(
-        ln1_g=ones((d,)), ln1_b=zeros((d,)),
-        qkv_w=w((d, m3)), qkv_b=zeros((m3,)),
-        out_w=w((d, d)), out_b=zeros((d,)),
-        ln2_g=ones((d,)), ln2_b=zeros((d,)),
-        up_w=w((d, hid)), up_b=zeros((hid,)),
-        down_w=w((hid, d)), down_b=zeros((d,)),
-    )
+    def layer():
+        return LayerParams(
+            ln1_g=ones((d,)), ln1_b=zeros((d,)),
+            qkv_w=w((d, 3 * d)), qkv_b=zeros((3 * d,)),
+            out_w=w((d, d)), out_b=zeros((d,)),
+            ln2_g=ones((d,)), ln2_b=zeros((d,)),
+            up_w=w((d, hid)), up_b=zeros((hid,)),
+            down_w=w((hid, d)), down_b=zeros((d,)),
+        )
 
-
-def build_params(cfg: ModelConfig, seed: int, position_to_set: list[int], plan=None, dtype=np.float32) -> ModelParams:
-    """Shared builder: allocates max(position_to_set)+1 distinct layer sets and
-    places them by position. Untied models map position i to set i."""
-    rng = SplitMix64(seed)
-    dtype = np.dtype(dtype).type
-
-    def w(shape):
-        return Tensor(rng.truncated_normal(shape, std=INIT_STD).astype(dtype), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    n_sets = max(position_to_set) + 1
-    patch_w = w((cfg.patch_dim, cfg.width))
-    patch_b = zeros((cfg.width,))
-    cls_token = w((1, cfg.width))
-    pos_embed = w((1 + cfg.num_patches, cfg.width))
-    sets = [_init_layer(cfg, rng, dtype) for _ in range(n_sets)]
-    final_ln_g = Tensor(np.ones((cfg.width,), dtype=dtype), requires_grad=True)
-    final_ln_b = zeros((cfg.width,))
+    patch_w = w((cfg.patch_dim, d))
+    patch_b = zeros((d,))
+    cls_token = w((1, d))
+    pos_embed = w((1 + cfg.num_patches, d))
+    sets = [layer() for _ in range(max(position_to_set) + 1)]
+    final_ln_g = ones((d,))
+    final_ln_b = zeros((d,))
     head_w = w((cfg.width, cfg.classes))
     head_b = zeros((cfg.classes,))
     return ModelParams(

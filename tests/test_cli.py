@@ -5,7 +5,8 @@ import pytest
 
 from sws.cli import CliError, load_config, main
 from sws.data import make_synthetic
-from sws.store import load, load_checkpoint, load_learngene, save_checkpoint
+from sws.sharing import StagePlan, build_aux, extract_learngene
+from sws.store import load, load_checkpoint, load_learngene, save, save_checkpoint, save_learngene
 from sws.vit import ModelConfig, build_model
 
 BASE = {
@@ -252,6 +253,15 @@ def test_exit_4_on_corrupt_artifact(tmp_path):
     bad.write_bytes(b"not a container at all")
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--checkpoint", str(bad)]) == 4
+
+
+def test_exit_4_on_pack_without_cfg(tmp_path):
+    pack = tmp_path / "g.sws"
+    save_learngene(extract_learngene(build_aux(ModelConfig(**BASE["model"]), StagePlan((1, 1)), seed=0)), pack)
+    arrays, meta = load(pack, "learngene")
+    del meta["cfg"]
+    save(pack, "learngene", arrays, meta)
+    assert main(["init-des", "--pack", str(pack), "--depth", "3", "--out", str(tmp_path / "d")]) == 4
 
 
 def test_exit_4_on_stale_cache(tmp_path):

@@ -5,7 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from sws.sharing import StagePlan, build_aux, check_tying, extract_learngene
+from sws.data import fnv1a64
+from sws.expand import DescendantSpec, init_descendant, pack_from_vanilla
+from sws.sharing import StagePlan, build_aux, check_tying, extract_learngene, materialize_untied
 from sws.store import (
     MAGIC,
     BadMagicError,
@@ -296,6 +298,81 @@ def test_learngene_rewrite_byte_identical(tmp_path):
     save_learngene(pack, a)
     save_learngene(load_learngene(a), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_model_artifacts_match_golden_digests(tmp_path):
+    """Pinned FNV-1a digests of saved models and packs: any change to the
+    layout, the naming, the meta or the init draw order shows up here."""
+    aux = build_aux(CFG, StagePlan((1, 3)), seed=7)
+    save_learngene(extract_learngene(aux, provenance={"epochs": 20}), tmp_path / "pack.sws")
+    artifacts = {
+        "untied": (save_checkpoint, build_model(CFG, seed=3)),
+        "aux": (save_checkpoint, aux),
+        "pack": (save_learngene, load_learngene(tmp_path / "pack.sws")),
+        "vanilla_pack": (save_learngene, pack_from_vanilla(build_model(CFG, seed=3))),
+        "descendant": (save_checkpoint, init_descendant(load_learngene(tmp_path / "pack.sws"),
+                                                        DescendantSpec(depth=6))[0]),
+        "descendant_new_head": (save_checkpoint, init_descendant(extract_learngene(aux),
+                                                                 DescendantSpec(depth=5, classes=7, seed=42))[0]),
+        "materialized": (save_checkpoint, materialize_untied(aux)),
+    }
+    digests = {}
+    for name, (saver, obj) in artifacts.items():
+        saver(obj, tmp_path / f"{name}.sws")
+        digests[name] = f"{fnv1a64((tmp_path / f'{name}.sws').read_bytes()):#018x}"
+    assert digests == {
+        "untied": "0xa8886b469bb3a1b0",
+        "aux": "0x841a97de0c48b8dd",
+        "pack": "0x9abbe906e4e12a05",
+        "vanilla_pack": "0x9a0148303e58cffb",
+        "descendant": "0xe7ac1802ffb0b5aa",
+        "descendant_new_head": "0x5c5b27ce7691215a",
+        "materialized": "0xece94ecb999c7c9b",
+    }
+
+
+# ---- header meta ---------------------------------------------------------------------
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _with(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+def _cfg_with(**changes):
+    return lambda meta: {**meta, "cfg": {**meta["cfg"], **changes}}
+
+
+@pytest.mark.parametrize("kind, edit, error, match", [
+    pytest.param("learngene", _without("cfg"), HeaderError, "no 'cfg'", id="pack-no-cfg"),
+    pytest.param("learngene", _without("plan"), HeaderError, "no 'plan'", id="pack-no-plan"),
+    pytest.param("learngene", _with("plan", [0, 4]), HeaderError, "plan", id="pack-plan-empty-stage"),
+    pytest.param("learngene", _with("plan", ["x", 2]), HeaderError, "plan", id="pack-plan-not-int"),
+    pytest.param("learngene", _with("plan", [1, 2]), HeaderError, "cfg.depth is 4", id="pack-plan-sum"),
+    pytest.param("learngene", _cfg_with(dropout=0.1), HeaderError, "dropout", id="pack-cfg-unknown-key"),
+    pytest.param("learngene", _with("pack_version", 2), VersionError, "pack version 2", id="pack-version"),
+    pytest.param("checkpoint", _without("cfg"), HeaderError, "no 'cfg'", id="ckpt-no-cfg"),
+    pytest.param("checkpoint", _with("plan", [2, 3]), HeaderError, "cfg.depth is 4", id="ckpt-plan-sum"),
+    pytest.param("checkpoint", _with("plan", 4), HeaderError, "plan", id="ckpt-plan-not-list"),
+    pytest.param("checkpoint", _cfg_with(dropout=0.1), HeaderError, "dropout", id="ckpt-cfg-unknown-key"),
+    pytest.param("checkpoint", _cfg_with(depth="four"), HeaderError, "depth", id="ckpt-cfg-bad-value"),
+    pytest.param("checkpoint", _cfg_with(heads=3), HeaderError, "heads", id="ckpt-cfg-inconsistent"),
+    pytest.param("checkpoint", lambda meta: [meta], HeaderError, "no 'cfg'", id="ckpt-meta-not-object"),
+])
+def test_bad_header_meta_rejected(tmp_path, kind, edit, error, match):
+    path = tmp_path / "a.sws"
+    aux = build_aux(CFG, StagePlan((2, 2)), seed=4)
+    if kind == "learngene":
+        save_learngene(extract_learngene(aux), path)
+    else:
+        save_checkpoint(aux, path)
+    arrays, meta = load(path, kind)
+    save(path, kind, arrays, edit(meta))
+    with pytest.raises(error, match=match):
+        (load_learngene if kind == "learngene" else load_checkpoint)(path)
 
 
 # ---- logit caches ----------------------------------------------------------------------
