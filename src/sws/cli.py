@@ -109,7 +109,7 @@ def plan_from(cfg: dict, depth: int):
             raise CliError(f"plan sizes sum to {plan.total_layers}, model depth is {depth}")
         return plan
     if "stages" in section:
-        return balanced_plan(depth, int(section["stages"]))
+        return balanced_plan(depth, section["stages"])
     raise CliError("plan section needs 'stages' or 'sizes'")
 
 

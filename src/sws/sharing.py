@@ -28,6 +28,11 @@ class PlanError(ValueError):
     pass
 
 
+def _is_count(v) -> bool:
+    """A positive int; bools and integral floats are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class StagePlan:
     """Sizes of the contiguous stages, front to back."""
@@ -38,7 +43,7 @@ class StagePlan:
         if len(self.stage_sizes) == 0:
             raise PlanError("a plan needs at least one stage")
         for s in self.stage_sizes:
-            if not isinstance(s, int) or s < 1:
+            if not _is_count(s):
                 raise PlanError(f"stage sizes must be positive integers, got {self.stage_sizes}")
 
     @property
@@ -69,7 +74,9 @@ def balanced_plan(total_layers: int, num_stages: int) -> StagePlan:
     Every stage gets floor(L/M); the L mod M leftover layers go to stages in
     center-out order, so the extra capacity sits in the middle of the network.
     """
-    if num_stages < 1 or total_layers < num_stages:
+    if not _is_count(num_stages):
+        raise PlanError(f"the stage count must be a positive integer, got {num_stages!r}")
+    if total_layers < num_stages:
         raise PlanError(f"cannot split {total_layers} layers into {num_stages} stages of size >= 1")
     base, extra = divmod(total_layers, num_stages)
     sizes = [base] * num_stages
@@ -79,7 +86,9 @@ def balanced_plan(total_layers: int, num_stages: int) -> StagePlan:
 
 
 def custom_plan(sizes) -> StagePlan:
-    return StagePlan(tuple(int(s) for s in sizes))
+    if not isinstance(sizes, (list, tuple)):
+        raise PlanError(f"stage sizes must be a list of positive integers, got {sizes!r}")
+    return StagePlan(tuple(sizes))
 
 
 # ---- tied model ---------------------------------------------------------------

@@ -234,6 +234,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    if b.data.ndim == 2:
+        # A weight product: fold a's leading axes into rows so forward and both
+        # VJP products are single GEMMs, with no batched (..., k, n) temporary.
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out2 = a2 @ b.data
+
+        def vjp2(g):
+            g2 = g.reshape(out2.shape)
+            return [(g2 @ b.data.T).reshape(a.shape), a2.T @ g2]
+
+        return Tensor._result(out2.reshape(a.shape[:-1] + b.shape[-1:]), (a, b), vjp2)
     out = a.data @ b.data
 
     def vjp(g):

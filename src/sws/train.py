@@ -74,6 +74,12 @@ class TrainConfig:
             raise TrainError(f"betas must be in [0, 1), got {self.betas}")
         if self.grad_clip is not None and self.grad_clip <= 0.0:
             raise TrainError(f"grad_clip must be positive when set, got {self.grad_clip}")
+        if not self.lr > 0.0:
+            raise TrainError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.eps_opt > 0.0:
+            raise TrainError(f"eps_opt must be > 0, got {self.eps_opt}")
 
 
 # ---- losses ------------------------------------------------------------------
@@ -212,7 +218,8 @@ class LogitCache:
 
 
 def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 128) -> LogitCache:
-    """Frozen teacher forward over the dataset in natural order."""
+    """Frozen teacher forward over the dataset in natural order, graph-free."""
+    teacher = teacher.detach()
     rows = []
     for images, _, _ in batch_iter(data, batch_size):
         rows.append(forward_logits(teacher, Tensor(images)).data)
@@ -222,18 +229,23 @@ def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 
 def _teacher_rows(teacher, images: np.ndarray, idx: np.ndarray) -> Tensor:
     if isinstance(teacher, LogitCache):
         return Tensor(teacher.logits[idx])
-    return forward_logits(teacher, Tensor(images)).detach()
+    return forward_logits(teacher, Tensor(images))
 
 
 # ---- evaluation and the loop ------------------------------------------------------
 
 
 def evaluate(model: ModelParams, data: Dataset, batch_size: int = 256) -> tuple[float, float]:
-    """(mean classification loss, top-1 accuracy) over the dataset in order."""
+    """(mean classification loss, top-1 accuracy) over the dataset in order.
+
+    The forward runs on ``model.detach()``, so it builds no autograd graph
+    and leaves every parameter's grad untouched.
+    """
+    frozen = model.detach()
     total_loss = 0.0
     hits = 0
     for images, labels, _ in batch_iter(data, batch_size):
-        logits = forward_logits(model, Tensor(images))
+        logits = forward_logits(frozen, Tensor(images))
         total_loss += loss_cls(logits, labels).item() * len(labels)
         hits += int((np.argmax(logits.data, axis=-1) == labels).sum())
     n = len(data)
@@ -288,6 +300,8 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
         raise TrainError("alpha > 0 needs a teacher (cache or frozen model)")
     if isinstance(teacher, LogitCache):
         teacher.check(train_data)
+    elif teacher is not None:
+        teacher = teacher.detach()  # frozen: its forward builds no graph
     if train_data.num_classes != model.cfg.classes:
         raise TrainError(f"model has {model.cfg.classes} classes, data has {train_data.num_classes}")
 

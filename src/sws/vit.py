@@ -80,6 +80,10 @@ class ModelConfig:
         return cls(**d)
 
 
+def _owned_copy(t: Tensor) -> Tensor:
+    return Tensor(t.data.copy(), requires_grad=t.requires_grad)
+
+
 @dataclass
 class LayerParams:
     """One encoder block's tensors."""
@@ -104,8 +108,12 @@ class LayerParams:
         for name in self.FIELDS:
             yield name, getattr(self, name)
 
+    def map(self, fn) -> "LayerParams":
+        """A set holding fn(t) for every tensor t of this one."""
+        return LayerParams(**{n: fn(t) for n, t in self.named()})
+
     def clone(self) -> "LayerParams":
-        return LayerParams(**{n: Tensor(t.data.copy(), requires_grad=t.requires_grad) for n, t in self.named()})
+        return self.map(_owned_copy)
 
 
 @dataclass
@@ -148,19 +156,26 @@ class ModelParams:
         carries over; without one, every position gets its own copy.
         """
         layers = self.layers if layers is None else layers
-        if plan is None:
-            copies = [lp.clone() for lp in layers]
-        else:
-            owned: dict[int, LayerParams] = {}
-            for lp in layers:
-                if id(lp) not in owned:
-                    owned[id(lp)] = lp.clone()
-            copies = [owned[id(lp)] for lp in layers]
-        shared = {}
-        for name in self.SHARED_FIELDS:
-            t = getattr(self, name)
-            shared[name] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-        return ModelParams(cfg=replace(self.cfg, depth=len(layers)), layers=copies, plan=plan, **shared)
+        return self._map(_owned_copy, layers, tied=plan is not None, plan=plan)
+
+    def detach(self) -> "ModelParams":
+        """The same arrays, uncopied, in requires_grad=False tensors, with the
+        tying kept: the model-level ``Tensor.detach``. A forward pass through
+        the result records no graph, so each activation is freed as soon as
+        the next op has read it."""
+        return self._map(Tensor.detach, self.layers, tied=True, plan=self.plan)
+
+    def _map(self, fn, layers: list[LayerParams], tied: bool, plan) -> "ModelParams":
+        """fn applied to every tensor; when tied, a set held at several
+        positions is mapped once and the result shared by those positions."""
+        done: dict[int, LayerParams] = {}
+        out = []
+        for lp in layers:
+            if not tied or id(lp) not in done:
+                done[id(lp)] = lp.map(fn)
+            out.append(done[id(lp)])
+        shared = {name: fn(getattr(self, name)) for name in self.SHARED_FIELDS}
+        return ModelParams(cfg=replace(self.cfg, depth=len(layers)), layers=out, plan=plan, **shared)
 
     def unique_tensors(self) -> list[tuple[str, Tensor]]:
         """Tensors deduplicated by object identity, first name wins."""

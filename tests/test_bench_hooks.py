@@ -6,6 +6,9 @@ from pathlib import Path
 
 import sws.cli
 import sws.sharing
+import sws.train
+import sws.vit
+from sws.data import make_synthetic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,3 +25,22 @@ def test_tracer_hooks_install_and_restore(monkeypatch):
         tracer.uninstall()
     assert sws.sharing.build_params is build_params
     assert sws.cli.extract_learngene is extract
+
+
+def test_step_clock_times_each_evaluate_batch(monkeypatch):
+    """On depth-sweep, step_ms_* are the hooked forward_logits batches of
+    evaluate; an evaluate that bypassed the hook would report 0 ms steps."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    cfg = sws.vit.ModelConfig(image_size=8, patch_size=4, channels=1, depth=2, width=8, heads=2, classes=3)
+    model, data = sws.vit.build_model(cfg, seed=0), make_synthetic(20, 3, 8, seed=1)
+    clock = run.StepClock(workloads.make("depth-sweep", 0))
+    clock.install()
+    try:
+        sws.train.evaluate(model, data, batch_size=8)
+    finally:
+        clock.uninstall()
+    assert len(clock.ms) == 3  # ceil(20 / 8) batches
+    assert all(ms > 0 for ms in clock.ms)
+    assert sws.train.forward_logits is sws.vit.forward_logits

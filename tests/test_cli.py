@@ -347,3 +347,46 @@ def test_exit_5_message_names_the_problem(tmp_path, capsys):
     cfg = write_config(tmp_path)
     main(["eval", "--config", str(cfg), "--out", str(tmp_path / "x"), "--checkpoint", str(bad)])
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan", [
+    pytest.param({"sizes": [1.5, 1.5]}, id="float-sizes"),
+    pytest.param({"sizes": [True, 1]}, id="bool-size"),
+    pytest.param({"sizes": [1.0, 1.0]}, id="integral-float-sizes"),
+    pytest.param({"sizes": 2}, id="sizes-not-a-list"),
+    pytest.param({"stages": 1.5}, id="float-stages"),
+    pytest.param({"stages": True}, id="bool-stages"),
+    pytest.param({"stages": "two"}, id="string-stages"),
+])
+def test_exit_2_on_non_integer_plan(tmp_path, plan):
+    cfg = write_config(tmp_path, plan=plan)
+    assert main(["train-aux", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("kind, plan", [
+    pytest.param("learngene", [True, 1], id="pack-bool"),
+    pytest.param("learngene", [1.0, 1.0], id="pack-float"),
+    pytest.param("checkpoint", [True, 1], id="ckpt-bool"),
+    pytest.param("checkpoint", [0.5, 1.5], id="ckpt-fraction"),
+])
+def test_exit_4_on_non_integer_header_plan(tmp_path, kind, plan):
+    path = tmp_path / "a.sws"
+    aux = build_aux(ModelConfig(**BASE["model"]), StagePlan((1, 1)), seed=0)
+    if kind == "learngene":
+        save_learngene(extract_learngene(aux), path)
+        argv = ["init-des", "--pack", str(path), "--depth", "3", "--out", str(tmp_path / "d")]
+    else:
+        save_checkpoint(aux, path)
+        argv = ["eval", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "e"),
+                "--checkpoint", str(path)]
+    arrays, meta = load(path, kind)
+    save(path, kind, arrays, {**meta, "plan": plan})
+    assert main(argv) == 4
+
+
+@pytest.mark.parametrize("override", ["train.lr=-1", "train.lr=0", "train.lr=NaN", "train.weight_decay=-0.05",
+                                      "train.eps_opt=0", "train.eps_opt=-1e-8"])
+def test_exit_2_on_out_of_range_train_config(tmp_path, capsys, override):
+    cfg = write_config(tmp_path)
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
+    assert override.split(".")[1].split("=")[0] in capsys.readouterr().err

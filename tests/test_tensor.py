@@ -300,3 +300,35 @@ def test_grad_check_subsamples_deterministically():
     r1 = grad_check(f, rnd((10, 10), 40), max_coords=7, seed=5)
     r2 = grad_check(f, rnd((10, 10), 40), max_coords=7, seed=5)
     assert r1.checked == 7 and r1.max_rel_err == r2.max_rel_err
+
+
+# ---- weight products: a 2-D right operand folds a's leading axes into rows --------
+
+
+def test_fd_matmul_weight_product_lhs():
+    b = Tensor(rnd((4, 3), 40))
+    _fd(lambda x: T.sum_all(T.mul(y := T.matmul(x, b), y)), rnd((2, 5, 4), 41))
+
+
+@pytest.mark.parametrize("a_shape", [(7, 16), (3, 7, 16), (2, 3, 7, 16)])
+def test_weight_product_matches_batched_reference(a_shape):
+    # float32 results may differ from numpy's batched matmul only in summation
+    # order; rtol 1e-5 (about 80 float32 ulps) was fixed before measuring.
+    a = rnd(a_shape, 42).astype(np.float32)
+    b = rnd((16, 5), 43).astype(np.float32)
+    g = rnd(a_shape[:-1] + (5,), 44).astype(np.float32)
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = T.matmul(ta, tb)
+    backward(T.sum_all(T.mul(out, Tensor(g))))
+    gb_batched = np.matmul(np.swapaxes(a, -1, -2), g)
+    assert out.data.dtype == ta.grad.dtype == tb.grad.dtype == np.float32
+    np.testing.assert_allclose(out.data, np.matmul(a, b), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(ta.grad, np.matmul(g, b.T), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(tb.grad, gb_batched.reshape(-1, 16, 5).sum(axis=0), rtol=1e-5, atol=1e-5)
+
+
+def test_weight_product_of_a_permuted_view():
+    x = Tensor(rnd((4, 3, 6), 45), dtype=np.float64)
+    w = Tensor(rnd((4, 2), 46), dtype=np.float64)
+    got = T.matmul(T.permute(x, (1, 2, 0)), w).data
+    np.testing.assert_allclose(got, np.transpose(x.data, (1, 2, 0)) @ w.data, rtol=1e-12)

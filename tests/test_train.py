@@ -318,6 +318,32 @@ def test_evaluate_matches_manual_recompute():
     assert abs(loss - want_loss) < 1e-6
 
 
+def test_evaluate_builds_no_graph_and_matches_a_graph_forward(monkeypatch):
+    import sws.train as train
+
+    data = tiny_data()
+    model = build_model(CFG, seed=2)
+    outputs = []
+
+    def recording(params, images):
+        outputs.append(forward_logits(params, images))
+        return outputs[-1]
+    monkeypatch.setattr(train, "forward_logits", recording)
+    loss, top1 = evaluate(model, data, batch_size=7)
+    monkeypatch.undo()
+
+    assert len(outputs) == 4
+    assert all(not out.requires_grad and out._vjp is None for out in outputs)
+    assert all(t.grad is None for _, t in model.named_tensors())
+    total, hits = 0.0, 0
+    for images, labels, _ in train.batch_iter(data, 7):
+        logits = forward_logits(model, Tensor(images))
+        assert logits.requires_grad
+        total += loss_cls(logits, labels).item() * len(labels)
+        hits += int((np.argmax(logits.data, axis=-1) == labels).sum())
+    assert (loss, top1) == (total / len(data), hits / len(data))
+
+
 # ---- the loop ---------------------------------------------------------------------------
 
 

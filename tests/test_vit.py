@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sws import tensor as T
-from sws.sharing import balanced_plan, build_aux
+from sws.sharing import balanced_plan, build_aux, check_tying
 from sws.tensor import Tensor, backward, grad_check
 from sws.vit import (
     ConfigError,
@@ -258,3 +258,27 @@ def test_backward_reaches_every_parameter():
     for name, t in params.unique_tensors():
         assert t.grad is not None, name
         assert np.isfinite(t.grad).all(), name
+
+
+# ---- graph-free views ------------------------------------------------------------
+
+
+def test_detach_shares_arrays_and_keeps_tying():
+    cfg = ModelConfig(image_size=8, patch_size=4, channels=1, depth=4, width=16, heads=2, classes=3)
+    aux = build_aux(cfg, balanced_plan(4, 2), seed=6)
+    frozen = aux.detach()
+    assert frozen.plan == aux.plan and frozen.cfg == aux.cfg
+    check_tying(frozen)
+    assert [id(lp) for lp in frozen.layers] != [id(lp) for lp in aux.layers]
+    assert len(frozen.unique_tensors()) == len(aux.unique_tensors())
+    for (name, t), (fname, f) in zip(aux.named_tensors(), frozen.named_tensors()):
+        assert fname == name
+        assert f is not t and f.data is t.data, name
+        assert t.requires_grad and not f.requires_grad, name
+
+    x = Tensor(images_for(cfg, 3, seed=2))
+    graph = forward_logits(aux, x)
+    free = forward_logits(frozen, x)
+    assert np.array_equal(free.data, graph.data)
+    assert graph._vjp is not None
+    assert not free.requires_grad and free._vjp is None and free._parents == ()
