@@ -16,19 +16,20 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .data import DataError, Dataset, IdxFormatError, fnv1a64, load_idx, make_synthetic, split
-from .expand import (DescendantSpec, ExpandError, InitOrder, init_descendant, simple_lg_expand,
+from .data import Dataset, IdxFormatError, fnv1a64, load_idx, make_synthetic, split
+from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, init_descendant, simple_lg_expand,
                      write_assignment_csv)
-from .sharing import PlanError, balanced_plan, build_aux, custom_plan, extract_learngene
+from .sharing import balanced_plan, build_aux, custom_plan, extract_learngene
 from .store import (StoreError, load_checkpoint, load_learngene, load_logit_cache, save_checkpoint,
                     save_learngene, save_logit_cache)
 from .tensor import NumericError
-from .train import (DivergenceError, StaleCacheError, TrainConfig, TrainError, cache_teacher_logits,
-                    evaluate, train_model)
-from .vit import ConfigError, ModelConfig, build_model, count_params
+from .train import (DivergenceError, StaleCacheError, TrainConfig, cache_teacher_logits, evaluate,
+                    train_model)
+from .vit import ModelConfig, build_model, count_params, is_int, is_real
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -37,11 +38,20 @@ EXIT_IO = 3
 EXIT_FORMAT = 4
 EXIT_DIVERGED = 5
 
+# First match wins: IdxFormatError is a DataError, hence a ValueError.
+_EXIT_CODES = (
+    (IdxFormatError, EXIT_FORMAT),
+    (ValueError, EXIT_CONFIG),
+    ((StoreError, StaleCacheError), EXIT_FORMAT),
+    ((DivergenceError, NumericError), EXIT_DIVERGED),
+    (OSError, EXIT_IO),
+)
+
 _EPILOG = """exit codes:
   0  success
   2  config or validation problem (bad flag, bad value, inconsistent sections)
   3  file I/O problem (missing path, unreadable file)
-  4  malformed or mismatched artifact (bad magic/kind/version/meta, stale cache, bad IDX)
+  4  malformed or mismatched artifact (bad header/meta, tensors not matching cfg, stale cache, bad IDX)
   5  numeric divergence during training
   1  unexpected failure
 """
@@ -114,12 +124,11 @@ def plan_from(cfg: dict, depth: int):
 
 
 def train_config(cfg: dict, **forced) -> TrainConfig:
-    section = dict(cfg.get("train") or {})
-    if "betas" in section:
-        section["betas"] = tuple(section["betas"])
-    section.update(forced)
+    section = cfg.get("train") or {}
+    if not isinstance(section, dict):
+        raise CliError("the 'train' section must be an object")
     try:
-        return TrainConfig(**section)
+        return TrainConfig(**{**section, **forced})
     except TypeError as e:
         raise CliError(f"train section: {e}") from None
 
@@ -141,11 +150,19 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
     if missing:
         raise CliError(f"data.{kind} needs {', '.join(map(repr, missing))}")
     if kind == "synthetic":
-        full = make_synthetic(int(s["n"]), int(s["classes"]), int(s["size"]), int(s.get("seed", 0)))
+        n, classes, size, seed = s["n"], s["classes"], s["size"], s.get("seed", 0)
+        if not (is_int(n, 1) and is_int(classes, 1) and is_int(size, 1) and is_int(seed)):
+            raise CliError(f"data.synthetic needs positive integers n, classes, size and an integer seed, got {s!r}")
+        full = make_synthetic(n, classes, size, seed)
+    elif not all(isinstance(s[k], str) for k in _DATA_KEYS[kind]):
+        raise CliError(f"data.idx images and labels must be paths, got {s!r}")
     else:
         full = load_idx(s["images"], s["labels"])
-    fraction = float(section.get("train_fraction", 0.8))
-    return split(full, fraction, int(section.get("split_seed", 0)))
+    fraction, split_seed = section.get("train_fraction", 0.8), section.get("split_seed", 0)
+    if not (is_real(fraction) and is_int(split_seed)):
+        raise CliError(f"data.train_fraction must be a number and data.split_seed an integer, "
+                       f"got {fraction!r} and {split_seed!r}")
+    return split(full, fraction, split_seed)
 
 
 # ---- run directory helpers --------------------------------------------------------
@@ -158,20 +175,19 @@ def _outdir(args) -> Path:
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[Path],
-                    extra: dict | None = None, started: float | None = None) -> None:
+                    extra: dict, started: float) -> None:
     lines = [
         f"command={command}",
         f"argv={' '.join(sys.argv[1:])}",
         f"package_version={__version__}",
         f"config={json.dumps(resolved, sort_keys=True, separators=(',', ':'))}",
     ]
-    for k, v in (extra or {}).items():
+    for k, v in extra.items():
         lines.append(f"{k}={v}")
     for art in artifacts:
         digest = fnv1a64(Path(art).read_bytes())
         lines.append(f"artifact.{Path(art).name}={digest:#018x}")
-    if started is not None:
-        lines.append(f"wallclock_seconds={time.perf_counter() - started:.3f}")
+    lines.append(f"wallclock_seconds={time.perf_counter() - started:.3f}")
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -180,10 +196,14 @@ def _eval_line(tag: str, loss: float, top1: float) -> str:
 
 
 # ---- commands -----------------------------------------------------------------------
+#
+# Each command returns (out, resolved config, artifacts, extra manifest lines);
+# main writes the manifest from them.
+
+Run = tuple[Path, dict, list[Path], dict]
 
 
-def cmd_train_teacher(args) -> int:
-    started = time.perf_counter()
+def cmd_train_teacher(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
     out = _outdir(args)
     mcfg = model_config(cfg)
@@ -197,12 +217,10 @@ def cmd_train_teacher(args) -> int:
     save_logit_cache(cache_teacher_logits(model, train_data), cache_path)
     metrics.write_csv(out / "metrics.csv")
     print(_eval_line("teacher", metrics.final.val_loss, metrics.final.top1))
-    _write_manifest(out, "train-teacher", cfg, [ckpt, cache_path, out / "metrics.csv"], started=started)
-    return EXIT_OK
+    return out, cfg, [ckpt, cache_path, out / "metrics.csv"], {}
 
 
-def cmd_train_aux(args) -> int:
-    started = time.perf_counter()
+def cmd_train_aux(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
     out = _outdir(args)
     mcfg = model_config(cfg)
@@ -215,8 +233,6 @@ def cmd_train_aux(args) -> int:
         teacher = load_logit_cache(args.teacher_cache)
     elif args.teacher_checkpoint:
         teacher = cache_teacher_logits(load_checkpoint(args.teacher_checkpoint), train_data)
-    if tcfg.alpha > 0.0 and teacher is None:
-        raise CliError("train.alpha > 0 needs --teacher-cache or --teacher-checkpoint")
 
     aux = build_aux(mcfg, plan, tcfg.seed)
     metrics = train_model(aux, train_data, val_data, tcfg, teacher)
@@ -228,14 +244,12 @@ def cmd_train_aux(args) -> int:
     save_learngene(pack, pack_path)
     metrics.write_csv(out / "metrics.csv")
     print(_eval_line("aux", metrics.final.val_loss, metrics.final.top1))
-    _write_manifest(out, "train-aux", cfg, [ckpt, pack_path, out / "metrics.csv"], started=started)
-    return EXIT_OK
+    return out, cfg, [ckpt, pack_path, out / "metrics.csv"], {}
 
 
-def cmd_init_des(args) -> int:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_init_des(args) -> Run:
     pack = load_learngene(args.pack)
+    out = _outdir(args)
     spec = DescendantSpec(depth=args.depth, strategy=args.strategy,
                           order=InitOrder.parse(args.order), seed=args.des_seed,
                           classes=args.classes)
@@ -246,15 +260,12 @@ def cmd_init_des(args) -> int:
                                              "seed": spec.seed})
     write_assignment_csv(report, out / "assignment.csv")
     print(f"descendant: depth={args.depth} strategy={spec.strategy} params={count_params(model):,}")
-    _write_manifest(out, "init-des", {"pack": str(args.pack), "depth": args.depth,
-                                      "strategy": spec.strategy, "order": str(spec.order),
-                                      "seed": spec.seed},
-                    [ckpt, out / "assignment.csv"], started=started)
-    return EXIT_OK
+    resolved = {"pack": str(args.pack), "depth": args.depth, "strategy": spec.strategy,
+                "order": str(spec.order), "seed": spec.seed}
+    return out, resolved, [ckpt, out / "assignment.csv"], {}
 
 
-def cmd_finetune(args) -> int:
-    started = time.perf_counter()
+def cmd_finetune(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
     out = _outdir(args)
     model = load_checkpoint(args.checkpoint)
@@ -264,20 +275,16 @@ def cmd_finetune(args) -> int:
         forced["alpha"] = 0.0  # descendants tune on labels unless asked otherwise
     tcfg = train_config(cfg, **forced)
     teacher = load_logit_cache(args.teacher_cache) if args.teacher_cache else None
-    if tcfg.alpha > 0.0 and teacher is None:
-        raise CliError("train.alpha > 0 needs --teacher-cache")
     metrics = train_model(model, train_data, val_data, tcfg, teacher)
     ckpt = out / "finetuned.sws"
     save_checkpoint(model, ckpt, provenance={"command": "finetune", "seed": tcfg.seed,
                                              "from": str(args.checkpoint)})
     metrics.write_csv(out / "metrics.csv")
     print(_eval_line("finetuned", metrics.final.val_loss, metrics.final.top1))
-    _write_manifest(out, "finetune", cfg, [ckpt, out / "metrics.csv"], started=started)
-    return EXIT_OK
+    return out, cfg, [ckpt, out / "metrics.csv"], {}
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
+def cmd_eval(args) -> Run:
     cfg = load_config(args.config, args.set, None)
     out = _outdir(args)
     model = load_checkpoint(args.checkpoint)
@@ -289,41 +296,35 @@ def cmd_eval(args) -> int:
     with open(out / "eval.csv", "w") as fh:
         fh.write("split,loss,top1\n")
         fh.write(f"{args.split},{loss:.6f},{top1:.6f}\n")
-    _write_manifest(out, "eval", cfg, [out / "eval.csv"],
-                    extra={"checkpoint": str(args.checkpoint), "split": args.split}, started=started)
-    return EXIT_OK
+    return out, cfg, [out / "eval.csv"], {"checkpoint": str(args.checkpoint), "split": args.split}
 
 
-def cmd_sweep_depth(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep_depth(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
     out = _outdir(args)
     depths = sorted({int(d) for d in args.depths.split(",")})
-    if not depths:
-        raise CliError("--depths needs at least one depth")
     pack = load_learngene(args.pack)
     vanilla = load_checkpoint(args.vanilla)
     train_data, val_data = datasets_from(cfg)
     order = InitOrder.parse(args.order)
+    tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs)
 
     rows = []
     for depth in depths:
         spec = DescendantSpec(depth=depth, strategy=args.strategy, order=order, seed=args.des_seed)
         des, _ = init_descendant(pack, spec)
-        loss, top1 = evaluate(des, val_data)
+        loss, top1 = evaluate(des, val_data, tcfg.eval_batch_size)
         rows.append((depth, count_params(des), "sws", loss, top1))
 
         simple, _ = simple_lg_expand(vanilla, spec)
-        loss, top1 = evaluate(simple, val_data)
+        loss, top1 = evaluate(simple, val_data, tcfg.eval_batch_size)
         rows.append((depth, count_params(simple), "simple_lg", loss, top1))
 
         if args.scratch_epochs > 0:
-            from dataclasses import replace as dc_replace
-            tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs)
-            tcfg = dc_replace(tcfg, seed=tcfg.seed + depth)
-            scratch = build_model(dc_replace(pack.cfg, depth=depth), tcfg.seed)
-            train_model(scratch, train_data, val_data, tcfg)
-            loss, top1 = evaluate(scratch, val_data)
+            scratch_cfg = replace(tcfg, seed=tcfg.seed + depth)
+            scratch = build_model(replace(pack.cfg, depth=depth), scratch_cfg.seed)
+            train_model(scratch, train_data, val_data, scratch_cfg)
+            loss, top1 = evaluate(scratch, val_data, tcfg.eval_batch_size)
             rows.append((depth, count_params(scratch), "scratch", loss, top1))
 
     rows.sort(key=lambda r: (r[0], r[2]))
@@ -333,10 +334,8 @@ def cmd_sweep_depth(args) -> int:
             fh.write(f"{depth},{params},{method},{loss:.6f},{top1:.6f}\n")
     for depth, params, method, loss, top1 in rows:
         print(f"depth={depth} method={method} params={params} val_loss={loss:.6f} top1={top1:.6f}")
-    _write_manifest(out, "sweep-depth", cfg, [out / "sweep.csv"],
-                    extra={"pack": str(args.pack), "vanilla": str(args.vanilla),
-                           "depths": ",".join(map(str, depths))}, started=started)
-    return EXIT_OK
+    return out, cfg, [out / "sweep.csv"], {"pack": str(args.pack), "vanilla": str(args.vanilla),
+                                          "depths": ",".join(map(str, depths))}
 
 
 # ---- argument parsing ------------------------------------------------------------------
@@ -349,6 +348,12 @@ def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
                        help="override a config value (JSON literal or bare string); repeatable")
         p.add_argument("--seed", type=int, default=None, help="override train.seed")
     p.add_argument("--out", required=True, help="output directory for artifacts")
+
+
+def _add_expansion(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy", default=DescendantSpec.strategy, choices=STRATEGIES)
+    p.add_argument("--order", default=str(DEFAULT_ORDER), help="group priority, e.g. front-mid-last")
+    p.add_argument("--des-seed", type=int, default=0, help="seed for random strategy / head re-init")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,10 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, config=False)
     p.add_argument("--pack", required=True, help="learngene pack artifact")
     p.add_argument("--depth", type=int, required=True, help="descendant depth")
-    p.add_argument("--strategy", default="cyclic-contiguous",
-                   choices=("cyclic-contiguous", "cyclic-roundrobin", "random"))
-    p.add_argument("--order", default="front-mid-last", help="group priority, e.g. front-mid-last")
-    p.add_argument("--des-seed", type=int, default=0, help="seed for random strategy / head re-init")
+    _add_expansion(p)
     p.add_argument("--classes", type=int, default=None, help="descendant class count (default: pack's)")
     p.set_defaults(fn=cmd_init_des)
 
@@ -397,10 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pack", required=True)
     p.add_argument("--vanilla", required=True, help="plain checkpoint for the baseline expansion")
     p.add_argument("--depths", required=True, help="comma-separated depths, e.g. 5,6,7,8")
-    p.add_argument("--strategy", default="cyclic-contiguous",
-                   choices=("cyclic-contiguous", "cyclic-roundrobin", "random"))
-    p.add_argument("--order", default="front-mid-last")
-    p.add_argument("--des-seed", type=int, default=0)
+    _add_expansion(p)
     p.add_argument("--scratch-epochs", type=int, default=0,
                    help="also train a scratch model per depth for this many epochs")
     p.set_defaults(fn=cmd_sweep_depth)
@@ -408,28 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except (CliError, ConfigError, PlanError, ExpandError, TrainError, DataError, ValueError) as e:
-        if isinstance(e, IdxFormatError):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_FORMAT
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StoreError, StaleCacheError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (DivergenceError, NumericError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as e:  # pragma: no cover - last resort
-        print(f"unexpected error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        out, resolved, artifacts, extra = args.fn(args)
+        _write_manifest(out, args.command, resolved, artifacts, extra, started)
+    except Exception as e:
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(e, kinds)), EXIT_UNEXPECTED)
+        prefix = "error" if code != EXIT_UNEXPECTED else f"unexpected error: {type(e).__name__}"
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

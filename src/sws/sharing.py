@@ -19,18 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vit import LayerParams, ModelConfig, ModelParams, build_params
+from .vit import LayerParams, ModelConfig, ModelParams, build_params, is_int
 
 PACK_VERSION = 1
 
 
 class PlanError(ValueError):
     pass
-
-
-def _is_count(v) -> bool:
-    """A positive int; bools and integral floats are not counts."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class StagePlan:
         if len(self.stage_sizes) == 0:
             raise PlanError("a plan needs at least one stage")
         for s in self.stage_sizes:
-            if not _is_count(s):
+            if not is_int(s, 1):
                 raise PlanError(f"stage sizes must be positive integers, got {self.stage_sizes}")
 
     @property
@@ -74,7 +69,7 @@ def balanced_plan(total_layers: int, num_stages: int) -> StagePlan:
     Every stage gets floor(L/M); the L mod M leftover layers go to stages in
     center-out order, so the extra capacity sits in the middle of the network.
     """
-    if not _is_count(num_stages):
+    if not is_int(num_stages, 1):
         raise PlanError(f"the stage count must be a positive integer, got {num_stages!r}")
     if total_layers < num_stages:
         raise PlanError(f"cannot split {total_layers} layers into {num_stages} stages of size >= 1")

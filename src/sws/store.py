@@ -23,6 +23,7 @@ tell a stale path from a corrupt artifact from a version skew.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -33,7 +34,7 @@ import numpy as np
 from .sharing import PACK_VERSION, LearngenePack, StagePlan, stage_sets
 from .tensor import Tensor
 from .train import LogitCache
-from .vit import LayerParams, ModelConfig, ModelParams
+from .vit import LayerParams, ModelConfig, ModelParams, is_int
 
 MAGIC = b"SWS1"
 VERSION = 1
@@ -142,10 +143,13 @@ def load(path, expected_kind: str) -> tuple[dict[str, np.ndarray], dict]:
     if len(raw) < payload_at:
         raise TruncatedError(f"{path}: header claims {hlen} bytes, file ends early")
     try:
-        header = json.loads(raw[4 + _HEAD.size:payload_at].decode("utf-8"))
-        kind, meta, index = header["kind"], header["meta"], header["tensors"]
-    except (ValueError, KeyError, UnicodeDecodeError) as e:
+        header = json.loads(raw[4 + _HEAD.size:payload_at].decode("utf-8"))  # UnicodeDecodeError is a ValueError
+    except ValueError as e:
         raise HeaderError(f"{path}: undecodable header: {e}") from None
+    if not (isinstance(header, dict) and header.keys() >= {"kind", "meta", "tensors"}
+            and isinstance(header["tensors"], list)):
+        raise HeaderError(f"{path}: header is not an object with 'kind', 'meta' and a 'tensors' list")
+    kind, meta, index = header["kind"], header["meta"], header["tensors"]
     if kind != expected_kind:
         raise KindError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
 
@@ -153,18 +157,21 @@ def load(path, expected_kind: str) -> tuple[dict[str, np.ndarray], dict]:
     out: dict[str, np.ndarray] = {}
     for entry in index:
         try:
-            name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
-            off, length = int(entry["offset"]), int(entry["length"])
-        except (KeyError, TypeError, ValueError):
+            name, shape, off, length = entry["name"], tuple(entry["shape"]), entry["offset"], entry["length"]
+        except (KeyError, TypeError):
             raise HeaderError(f"{path}: malformed index entry {entry!r}") from None
-        want = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if length != want or off < 0 or off % 8 != 0:
+        if not (isinstance(name, str) and all(is_int(v, 0) for v in (*shape, off, length))) or name in out:
+            raise HeaderError(f"{path}: malformed or repeated index entry {entry!r}")
+        if length != math.prod(shape) * 4 or off % 8 != 0:
             raise HeaderError(f"{path}: entry {name!r} has offset {off}, length {length}, shape {shape}")
         if payload_at + off + length > len(raw):
             raise TruncatedError(f"{path}: tensor {name!r} extends past end of file")
         spans.append((off, off + length, name))
         arr = np.frombuffer(raw, dtype="<f4", count=length // 4, offset=payload_at + off)
-        out[name] = arr.reshape(shape).copy()
+        try:
+            out[name] = arr.reshape(shape).copy()
+        except ValueError:  # more than 64 axes, or a zero-size shape too large for numpy
+            raise HeaderError(f"{path}: entry {name!r} has shape {shape}") from None
     spans.sort()
     for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
         if b0 < a1:
@@ -218,15 +225,22 @@ def _load_model(path, kind: str) -> tuple[ModelParams, dict]:
     if kind == "learngene" and meta.get("pack_version", PACK_VERSION) != PACK_VERSION:
         raise VersionError(f"{path}: pack version {meta['pack_version']!r}, this build reads {PACK_VERSION}")
 
-    def tensor(name: str) -> Tensor:
-        if name not in arrays:
-            raise HeaderError(f"{path}: missing tensor {name!r}")
-        return Tensor(arrays[name], requires_grad=True)
-
-    shared = {name: tensor(name) for name in ModelParams.SHARED_FIELDS}
+    shapes = cfg.shapes()
     prefix = _set_prefix(kind, plan)
-    sets = [LayerParams(**{name: tensor(f"{prefix}{m:02d}.{name}") for name in LayerParams.FIELDS})
-            for m in range(cfg.depth if plan is None else plan.num_stages)]
+    num_sets = cfg.depth if plan is None else plan.num_stages
+    want = {name: shapes[name] for name in ModelParams.SHARED_FIELDS}
+    want.update((f"{prefix}{m:02d}.{name}", shapes[name]) for m in range(num_sets) for name in LayerParams.FIELDS)
+    missing, extra = sorted(want.keys() - arrays.keys()), sorted(arrays.keys() - want.keys())
+    if missing or extra:
+        raise HeaderError(f"{path}: tensors do not match its cfg (missing {missing}, unexpected {extra})")
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise HeaderError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, its cfg gives {shape}")
+
+    tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    shared = {name: tensors[name] for name in ModelParams.SHARED_FIELDS}
+    sets = [LayerParams(**{name: tensors[f"{prefix}{m:02d}.{name}"] for name in LayerParams.FIELDS})
+            for m in range(num_sets)]
     layers = sets if plan is None else [sets[m] for m in plan.stage_of_position()]
     return ModelParams(cfg=cfg, layers=layers, plan=plan, **shared), meta
 
@@ -260,6 +274,11 @@ def save_logit_cache(cache: LogitCache, path) -> None:
 
 def load_logit_cache(path) -> LogitCache:
     arrays, meta = load(path, "logitcache")
-    if "logits" not in arrays:
-        raise HeaderError(f"{path}: logit cache without a 'logits' tensor")
-    return LogitCache(logits=arrays["logits"], dataset_hash=int(meta["dataset_hash"], 16))
+    if arrays.keys() != {"logits"} or arrays["logits"].ndim != 2:
+        shapes = {name: a.shape for name, a in arrays.items()}
+        raise HeaderError(f"{path}: a logit cache holds one 2-D 'logits' tensor, got {shapes}")
+    try:
+        dataset_hash = int(meta["dataset_hash"], 16)
+    except (KeyError, TypeError, ValueError):
+        raise HeaderError(f"{path}: header meta needs a hex 'dataset_hash'") from None
+    return LogitCache(logits=arrays["logits"], dataset_hash=dataset_hash)

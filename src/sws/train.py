@@ -26,7 +26,7 @@ from . import tensor as T
 from .data import Dataset, batch_iter
 from .rng import derive_seed
 from .tensor import Tensor, backward
-from .vit import ModelParams, forward_logits
+from .vit import ModelParams, forward_logits, is_int, is_real
 
 SCHEDULES = ("constant", "cosine")
 
@@ -60,10 +60,21 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise TrainError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("eval_batch_size", 1), ("seed", None)):
+            v = getattr(self, name)
+            if not is_int(v, least):
+                raise TrainError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {v!r}")
+        for name in ("lr", "alpha", "tau", "eps_opt", "weight_decay"):
+            v = getattr(self, name)
+            if not is_real(v):
+                raise TrainError(f"{name} must be a number, got {v!r}")
+        if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2 and all(map(is_real, self.betas))):
+            raise TrainError(f"betas must be two numbers, got {self.betas!r}")
+        self.betas = tuple(self.betas)
+        if not isinstance(self.tau_square_scaling, bool):
+            raise TrainError(f"tau_square_scaling must be true or false, got {self.tau_square_scaling!r}")
+        if not (self.grad_clip is None or is_real(self.grad_clip)):
+            raise TrainError(f"grad_clip must be a number or null, got {self.grad_clip!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise TrainError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.tau <= 0.0:

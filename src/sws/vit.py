@@ -29,6 +29,16 @@ class ConfigError(ValueError):
     pass
 
 
+def is_int(v, least: int | None = None) -> bool:
+    """An int, at least ``least`` when given; bools and floats (even 2.0) are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and (least is None or v >= least)
+
+
+def is_real(v) -> bool:
+    """An int or a float; bools are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int
@@ -43,8 +53,10 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("image_size", "patch_size", "channels", "depth", "width", "heads", "classes"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not is_int(v, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        if not is_real(self.mlp_ratio):
+            raise ConfigError(f"mlp_ratio must be a number, got {self.mlp_ratio!r}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.width % self.heads != 0:
@@ -71,6 +83,17 @@ class ModelConfig:
     @property
     def mlp_dim(self) -> int:
         return int(round(self.width * self.mlp_ratio))
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every tensor by field name: the ModelParams.SHARED_FIELDS
+        and the LayerParams.FIELDS of one layer set."""
+        d, hid, k = self.width, self.mlp_dim, self.classes
+        return {"patch_w": (self.patch_dim, d), "patch_b": (d,), "cls_token": (1, d),
+                "pos_embed": (1 + self.num_patches, d), "final_ln_g": (d,), "final_ln_b": (d,),
+                "head_w": (d, k), "head_b": (k,),
+                "ln1_g": (d,), "ln1_b": (d,), "qkv_w": (d, 3 * d), "qkv_b": (3 * d,),
+                "out_w": (d, d), "out_b": (d,), "ln2_g": (d,), "ln2_b": (d,),
+                "up_w": (d, hid), "up_b": (hid,), "down_w": (hid, d), "down_b": (d,)}
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -202,49 +225,30 @@ def build_params(cfg: ModelConfig, seed: int, position_to_set: list[int], plan=N
     """Shared builder: allocates max(position_to_set)+1 distinct layer sets and
     places them by position. Untied models map position i to set i.
 
-    Draw order: patch_w, cls_token, pos_embed, then per set qkv_w, out_w,
-    up_w, down_w, then head_w; every other tensor is constant."""
+    Shapes come from ``cfg.shapes()``. Gains (``*_g``) start at one, biases
+    (``*_b``) at zero, and every other tensor is drawn from a truncated
+    normal. Draw order: patch_w, cls_token, pos_embed, then per set qkv_w,
+    out_w, up_w, down_w, then head_w."""
     rng = SplitMix64(seed)
     dtype = np.dtype(dtype).type
-    d, hid = cfg.width, cfg.mlp_dim
+    shapes = cfg.shapes()
 
-    def w(shape):
-        return Tensor(rng.truncated_normal(shape, std=INIT_STD).astype(dtype), requires_grad=True)
+    def init(name: str) -> Tensor:
+        shape = shapes[name]
+        if name.endswith("_g"):
+            data = np.ones(shape, dtype=dtype)
+        elif name.endswith("_b"):
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = rng.truncated_normal(shape, std=INIT_STD).astype(dtype)
+        return Tensor(data, requires_grad=True)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    def layer():
-        return LayerParams(
-            ln1_g=ones((d,)), ln1_b=zeros((d,)),
-            qkv_w=w((d, 3 * d)), qkv_b=zeros((3 * d,)),
-            out_w=w((d, d)), out_b=zeros((d,)),
-            ln2_g=ones((d,)), ln2_b=zeros((d,)),
-            up_w=w((d, hid)), up_b=zeros((hid,)),
-            down_w=w((hid, d)), down_b=zeros((d,)),
-        )
-
-    patch_w = w((cfg.patch_dim, d))
-    patch_b = zeros((d,))
-    cls_token = w((1, d))
-    pos_embed = w((1 + cfg.num_patches, d))
-    sets = [layer() for _ in range(max(position_to_set) + 1)]
-    final_ln_g = ones((d,))
-    final_ln_b = zeros((d,))
-    head_w = w((cfg.width, cfg.classes))
-    head_b = zeros((cfg.classes,))
-    return ModelParams(
-        cfg=cfg,
-        patch_w=patch_w, patch_b=patch_b,
-        cls_token=cls_token, pos_embed=pos_embed,
-        layers=[sets[m] for m in position_to_set],
-        final_ln_g=final_ln_g, final_ln_b=final_ln_b,
-        head_w=head_w, head_b=head_b,
-        plan=plan,
-    )
+    # SHARED_FIELDS holds the four embedding fields, then the final norm and head.
+    front = {name: init(name) for name in ModelParams.SHARED_FIELDS[:4]}
+    sets = [LayerParams(**{name: init(name) for name in LayerParams.FIELDS})
+            for _ in range(max(position_to_set) + 1)]
+    back = {name: init(name) for name in ModelParams.SHARED_FIELDS[4:]}
+    return ModelParams(cfg=cfg, layers=[sets[m] for m in position_to_set], plan=plan, **front, **back)
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from sws.cli import CliError, load_config, main
-from sws.data import make_synthetic
+import sws.cli
+from sws.cli import CliError, build_parser, load_config, main
+from sws.data import DataError, IdxFormatError, make_synthetic
+from sws.expand import DEFAULT_ORDER, STRATEGIES
 from sws.sharing import StagePlan, build_aux, extract_learngene
-from sws.store import load, load_checkpoint, load_learngene, save, save_checkpoint, save_learngene
+from sws.store import HeaderError, load, load_checkpoint, load_learngene, save, save_checkpoint, save_learngene
+from sws.tensor import NumericError
+from sws.train import DivergenceError, StaleCacheError
 from sws.vit import ModelConfig, build_model
 
 BASE = {
@@ -385,8 +389,147 @@ def test_exit_4_on_non_integer_header_plan(tmp_path, kind, plan):
 
 
 @pytest.mark.parametrize("override", ["train.lr=-1", "train.lr=0", "train.lr=NaN", "train.weight_decay=-0.05",
-                                      "train.eps_opt=0", "train.eps_opt=-1e-8"])
+                                      "train.eps_opt=0", "train.eps_opt=-1e-8",
+                                      "train.batch_size=1.5", "train.epochs=1.5", "train.epochs=true",
+                                      "train.eval_batch_size=2.0", "train.seed=1.0", "train.betas=0.9",
+                                      "train.betas=[0.9]", "train.lr=fast", "train.tau_square_scaling=1",
+                                      "train.grad_clip=big"])
 def test_exit_2_on_out_of_range_train_config(tmp_path, capsys, override):
     cfg = write_config(tmp_path)
     assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
     assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "model.depth=true", "model.width=16.0", "model.mlp_ratio=true",
+    "data.synthetic.n=120.7", "data.synthetic.classes=3.9", "data.synthetic.seed=1.5",
+    "data.train_fraction=null", "data.train_fraction=\"0.8\"", "data.split_seed=0.5",
+])
+def test_exit_2_on_non_integer_model_or_data_value(tmp_path, capsys, override):
+    cfg = write_config(tmp_path)
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
+    assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
+def test_exit_2_on_idx_paths_that_are_not_strings(tmp_path):
+    cfg = write_idx_config(tmp_path, {"images": 3, "labels": 4})
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_exit_2_when_finetune_lacks_teacher(tmp_path, capsys):
+    ckpt = tmp_path / "m.sws"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=0), ckpt)
+    cfg = write_config(tmp_path, train={"alpha": 0.5})
+    assert main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "x"), "--checkpoint", str(ckpt)]) == 2
+    assert "alpha > 0" in capsys.readouterr().err
+
+
+def _save_pack(path):
+    save_learngene(extract_learngene(build_aux(ModelConfig(**BASE["model"]), StagePlan((1, 1)), seed=0)), path)
+
+
+def test_exit_4_on_wrong_shaped_or_extra_tensor(tmp_path):
+    ckpt = tmp_path / "m.sws"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=0), ckpt)
+    arrays, meta = load(ckpt, "checkpoint")
+    argv = ["eval", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt)]
+    save(ckpt, "checkpoint", {**arrays, "layer00.qkv_b": np.zeros(1, np.float32)}, meta)  # would broadcast
+    assert main(argv) == 4
+    save(ckpt, "checkpoint", {**arrays, "unused": np.zeros(1, np.float32)}, meta)
+    assert main(argv) == 4
+
+
+@pytest.mark.parametrize("arrays, meta", [
+    pytest.param({"logits": np.zeros((96, 3), np.float32)}, {"rows": 96}, id="no-dataset-hash"),
+    pytest.param({"logits": np.zeros(96, np.float32)}, {"dataset_hash": "0x1", "rows": 96}, id="logits-1d"),
+])
+def test_exit_4_on_malformed_logit_cache(tmp_path, arrays, meta):
+    cache = tmp_path / "c.sws"
+    save(cache, "logitcache", arrays, meta)
+    cfg = write_config(tmp_path, train={"alpha": 0.5})
+    assert main(["train-aux", "--config", str(cfg), "--out", str(tmp_path / "x"), "--teacher-cache", str(cache)]) == 4
+
+
+def test_exit_4_on_header_that_is_a_list(tmp_path):
+    ckpt = tmp_path / "m.sws"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=0), ckpt)
+    raw = ckpt.read_bytes()
+    enc = b"[]" + b" " * 6
+    ckpt.write_bytes(raw[:4] + (1).to_bytes(4, "little") + len(enc).to_bytes(8, "little") + enc)
+    assert main(["eval", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(ckpt)]) == 4
+
+
+def test_init_des_leaves_no_out_dir_when_the_pack_is_missing(tmp_path):
+    out = tmp_path / "d"
+    assert main(["init-des", "--pack", str(tmp_path / "none.sws"), "--depth", "3", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (IdxFormatError("x"), 4), (DataError("x"), 2), (CliError("x"), 2), (ValueError("x"), 2),
+    (HeaderError("x"), 4), (StaleCacheError("x"), 4), (DivergenceError("x"), 5), (NumericError("x"), 5),
+    (FileNotFoundError("x"), 3), (PermissionError("x"), 3), (KeyError("x"), 1),
+])
+def test_exit_code_table(tmp_path, monkeypatch, capsys, error, code):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(sws.cli, "load_learngene", fail)
+    assert main(["init-des", "--pack", "p.sws", "--depth", "3", "--out", str(tmp_path / "d")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("unexpected error: KeyError: " if code == 1 else "error: ")
+
+
+def test_expansion_flags_are_shared():
+    parser = build_parser()
+    for command in (["init-des", "--pack", "p", "--depth", "3", "--out", "o"],
+                    ["sweep-depth", "--config", "c", "--pack", "p", "--vanilla", "v", "--depths", "3", "--out", "o"]):
+        args = parser.parse_args(command)
+        assert (args.strategy, args.order, args.des_seed) == (STRATEGIES[0], str(DEFAULT_ORDER), 0)
+        for strategy in STRATEGIES:
+            assert parser.parse_args(command + ["--strategy", strategy]).strategy == strategy
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--strategy", "bogus"])
+
+
+def test_every_command_writes_its_manifest(tmp_path):
+    cfg = write_config(tmp_path)
+    t, a, d, f, e, s = (tmp_path / n for n in "tadfes")
+    commands = {
+        "train-teacher": (t, ["--config", str(cfg)]),
+        "train-aux": (a, ["--config", str(write_config(tmp_path, "aux.json", train={"alpha": 0.9})),
+                          "--teacher-cache", str(t / "teacher_logits.sws")]),
+        "init-des": (d, ["--pack", str(a / "learngene.sws"), "--depth", "3"]),
+        "finetune": (f, ["--config", str(cfg), "--checkpoint", str(d / "descendant.sws")]),
+        "eval": (e, ["--config", str(cfg), "--checkpoint", str(f / "finetuned.sws")]),
+        "sweep-depth": (s, ["--config", str(cfg), "--pack", str(a / "learngene.sws"),
+                            "--vanilla", str(t / "teacher.sws"), "--depths", "2,3"]),
+    }
+    for command, (out, flags) in commands.items():
+        assert main([command, *flags, "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[0] == f"command={command}"
+        assert [ln.split("=")[0] for ln in lines[1:4]] == ["argv", "package_version", "config"]
+        assert lines[-1].startswith("wallclock_seconds=")
+        artifacts = [ln for ln in lines if ln.startswith("artifact.")]
+        assert artifacts and all(ln.split("=")[0][len("artifact."):] in {p.name for p in out.iterdir()}
+                                 for ln in artifacts)
+
+
+def test_sweep_depth_honours_eval_batch_size(tmp_path, monkeypatch):
+    pack, vanilla = tmp_path / "g.sws", tmp_path / "v.sws"
+    _save_pack(pack)
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), vanilla)
+    seen = []
+    evaluate = sws.cli.evaluate
+
+    def spy(model, data, batch_size=256):
+        seen.append(batch_size)
+        return evaluate(model, data, batch_size)
+
+    monkeypatch.setattr(sws.cli, "evaluate", spy)
+    assert main(["sweep-depth", "--config", str(write_config(tmp_path, train={"eval_batch_size": 7})),
+                 "--out", str(tmp_path / "s"), "--pack", str(pack), "--vanilla", str(vanilla),
+                 "--depths", "2,3", "--scratch-epochs", "1"]) == 0
+    assert seen == [7] * 6

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sws.data import fnv1a64
 from sws.expand import DescendantSpec, init_descendant, pack_from_vanilla
@@ -205,6 +207,23 @@ def test_load_bad_entry_geometry(tmp_path):
         load(path, "checkpoint")
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h["tensors"].append(dict(h["tensors"][0])), id="repeated-name"),
+    pytest.param(lambda h: h["tensors"][0].update(shape=[4.0]), id="float-dim"),
+    pytest.param(lambda h: h["tensors"][0].update(offset="0"), id="string-offset"),
+    pytest.param(lambda h: h["tensors"][0].update(name=5), id="int-name"),
+    pytest.param(lambda h: h["tensors"][0].update(shape=[-4], length=-16), id="negative-dim"),
+    pytest.param(lambda h: h["tensors"][0].update(shape=[1] * 65, length=4), id="too-many-axes"),
+    pytest.param(lambda h: h["tensors"].__setitem__(0, "a"), id="entry-not-object"),
+])
+def test_load_rejects_malformed_index_entries(tmp_path, edit):
+    path = tmp_path / "x.sws"
+    save(path, "checkpoint", {"a": np.zeros(4, np.float32)})
+    _rewrite_index(path, edit)
+    with pytest.raises(HeaderError):
+        load(path, "checkpoint")
+
+
 def test_error_hierarchy():
     for exc in (BadMagicError, VersionError, KindError, TruncatedError, OverlapError, HeaderError):
         assert issubclass(exc, StoreError)
@@ -393,3 +412,111 @@ def test_logit_cache_wrong_kind_rejected(tmp_path):
     save(path, "checkpoint", {"logits": np.zeros((2, 2), np.float32)})
     with pytest.raises(KindError):
         load_logit_cache(path)
+
+
+def test_logit_cache_bad_content_rejected(tmp_path):
+    path = tmp_path / "t.sws"
+    good_meta = {"dataset_hash": "0x1", "rows": 2}
+    cases = [
+        ({"logits": np.zeros((2, 2), np.float32)}, {"rows": 2}),                     # no dataset_hash
+        ({"logits": np.zeros((2, 2), np.float32)}, {"dataset_hash": 7, "rows": 2}),  # not a hex string
+        ({"logits": np.zeros((2, 2), np.float32)}, {"dataset_hash": "0xZZ"}),
+        ({"logits": np.zeros(4, np.float32)}, good_meta),                            # not 2-D
+        ({"logits": np.zeros((2, 2), np.float32), "more": np.zeros(1, np.float32)}, good_meta),
+        ({"other": np.zeros((2, 2), np.float32)}, good_meta),
+    ]
+    for arrays, meta in cases:
+        save(path, "logitcache", arrays, meta)
+        with pytest.raises(HeaderError):
+            load_logit_cache(path)
+
+
+# ---- models must match their cfg, tensor for tensor ----------------------------------
+
+
+@pytest.mark.parametrize("kind, edit, match", [
+    pytest.param("checkpoint", lambda a: {**a, "layer00.qkv_b": np.zeros(1, np.float32)}, "layer00.qkv_b",
+                 id="ckpt-bias-broadcastable"),
+    pytest.param("checkpoint", lambda a: {**a, "head_w": np.zeros((16, 4), np.float32)}, "head_w",
+                 id="ckpt-head-classes"),
+    pytest.param("checkpoint", lambda a: {**a, "extra": np.zeros(1, np.float32)}, "extra", id="ckpt-extra"),
+    pytest.param("checkpoint", lambda a: {**a, "layer04.up_w": a["layer00.up_w"]}, "layer04.up_w",
+                 id="ckpt-extra-layer"),
+    pytest.param("learngene", lambda a: {**a, "gene00.up_w": a["gene00.up_w"].T.copy()}, "gene00.up_w",
+                 id="pack-transposed"),
+    pytest.param("learngene", lambda a: {k: v for k, v in a.items() if k != "gene01.ln2_b"}, "gene01.ln2_b",
+                 id="pack-missing"),
+    pytest.param("learngene", lambda a: {**a, "stage00.up_w": a["gene00.up_w"]}, "stage00.up_w",
+                 id="pack-foreign-prefix"),
+])
+def test_model_tensors_must_match_cfg(tmp_path, kind, edit, match):
+    path = tmp_path / "m.sws"
+    if kind == "learngene":
+        save_learngene(extract_learngene(build_aux(CFG, StagePlan((2, 2)), seed=4)), path)
+    else:
+        save_checkpoint(build_model(CFG, seed=4), path)
+    arrays, meta = load(path, kind)
+    save(path, kind, edit(arrays), meta)
+    with pytest.raises(HeaderError, match=match):
+        (load_learngene if kind == "learngene" else load_checkpoint)(path)
+
+
+# ---- fuzzing: a damaged container raises a StoreError and nothing else -----------------
+
+_FUZZ_ARRAYS = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(3, np.float32),
+                "c": np.float32(1.5).reshape(())}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _fuzz_container(tmp_path_factory) -> tuple:
+    path = tmp_path_factory.getbasetemp() / "fuzz.sws"
+    save(path, "checkpoint", _FUZZ_ARRAYS, meta={"note": [1, 2]})
+    return path, path.read_bytes()
+
+
+def _load_or_store_error(path) -> None:
+    try:
+        load(path, "checkpoint")
+    except StoreError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 8), st.binary(max_size=8)),
+                      min_size=1, max_size=3))
+def test_load_fuzzed_bytes_raise_only_store_errors(tmp_path_factory, edits):
+    """Each edit replaces raw[pos:pos + k] with some bytes: overwrites,
+    truncations, insertions and deletions anywhere in the file."""
+    path, raw = _fuzz_container(tmp_path_factory)
+    for pos, k, new in edits:
+        pos = min(pos, len(raw))
+        raw = raw[:pos] + new + raw[pos + k:]
+    path.write_bytes(raw)
+    _load_or_store_error(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(where=st.sampled_from([(), ("kind",), ("meta",), ("tensors",), ("tensors", 0), ("tensors", 0, "name"),
+                              ("tensors", 0, "shape"), ("tensors", 1, "offset"), ("tensors", 2, "length")]),
+       value=JSON_VALUES)
+def test_load_fuzzed_header_values_raise_only_store_errors(tmp_path_factory, where, value):
+    """Any JSON value in any place of a well-framed header: a whole header
+    that is a list, a 'tensors' that is not a list, an entry that is a string."""
+    path, raw = _fuzz_container(tmp_path_factory)
+    hlen = struct.unpack_from("<Q", raw, 8)[0]
+    header = json.loads(raw[16:16 + hlen])
+    if where:
+        node = header
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        header = value
+    enc = json.dumps(header).encode()
+    enc += b" " * (-len(enc) % 8)
+    path.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(enc)) + enc + raw[16 + hlen:])
+    _load_or_store_error(path)

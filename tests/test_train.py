@@ -63,6 +63,20 @@ def test_train_config_validation():
 # ---- losses -----------------------------------------------------------------------
 
 
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 1.5), ("epochs", True), ("batch_size", 2.0), ("eval_batch_size", 0), ("seed", 1.0),
+    ("betas", 0.9), ("betas", [0.9]), ("betas", ["a", "b"]), ("lr", "fast"), ("alpha", None),
+    ("tau_square_scaling", 1), ("grad_clip", "1"),
+])
+def test_train_config_rejects_wrong_types(field, value):
+    with pytest.raises(TrainError, match=field):
+        TrainConfig(**{"epochs": 1, "batch_size": 4, field: value})
+
+
+def test_train_config_takes_betas_as_a_list():
+    assert TrainConfig(epochs=1, batch_size=4, betas=[0.8, 0.9]).betas == (0.8, 0.9)
+
 def test_one_hot():
     out = one_hot(np.array([0, 2, 1]), 3)
     assert np.array_equal(out, np.eye(3, dtype=np.float32)[[0, 2, 1]])

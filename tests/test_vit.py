@@ -6,11 +6,13 @@ from sws.sharing import balanced_plan, build_aux, check_tying
 from sws.tensor import Tensor, backward, grad_check
 from sws.vit import (
     ConfigError,
+    LayerParams,
     ModelConfig,
     ModelParams,
     build_model,
     count_params,
     forward_logits,
+    is_int,
     reinit_head,
 )
 
@@ -41,6 +43,30 @@ def test_config_rejects_bad_geometry():
         ModelConfig(image_size=8, patch_size=4, channels=1, depth=1, width=9, heads=2, classes=2)
     with pytest.raises(ConfigError, match="positive"):
         ModelConfig(image_size=8, patch_size=4, channels=1, depth=0, width=8, heads=2, classes=2)
+
+
+@pytest.mark.parametrize("field, value", [("depth", True), ("width", 16.0), ("heads", 2.5), ("classes", "3"),
+                                          ("mlp_ratio", True), ("mlp_ratio", "4")])
+def test_config_rejects_non_integer_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{**TINY.to_dict(), field: value})
+
+
+def test_is_int_rejects_bools_and_floats():
+    assert is_int(0) and is_int(-3) and is_int(2 ** 70) and is_int(1, 1) and is_int(0, 0)
+    assert not any(is_int(v) for v in (True, False, 2.0, 1.5, "2", None, [1]))
+    assert not is_int(0, 1) and not is_int(-1, 0)
+
+
+def test_build_follows_the_shape_table():
+    cfg = ModelConfig(image_size=8, patch_size=4, channels=2, depth=3, width=16, heads=2, classes=5, mlp_ratio=2.5)
+    shapes = cfg.shapes()
+    assert set(shapes) == set(ModelParams.SHARED_FIELDS) | set(LayerParams.FIELDS)
+    model = build_model(cfg, seed=0)
+    for name, t in model.named_tensors():
+        assert t.shape == shapes[name.split(".")[-1]], name
+    assert count_params(model) == sum(int(np.prod(shapes[n])) for n in ModelParams.SHARED_FIELDS) \
+        + cfg.depth * sum(int(np.prod(shapes[n])) for n in LayerParams.FIELDS)
 
 
 def test_config_dict_round_trip():
