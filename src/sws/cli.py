@@ -2,9 +2,11 @@
 
 Every run takes a JSON config plus optional flag overrides, writes its
 artifacts under --out, and drops a manifest.txt recording the resolved
-config, seeds, and an FNV-1a hash of each artifact. Identical config and
-seed replay to identical artifacts (checkpoints bitwise, CSVs bytewise);
-the manifest's wallclock lines are the one place times appear.
+config, seeds, and an FNV-1a hash of each artifact. --out is created only
+after the command's work has succeeded, so a bad input, a missing file or a
+divergence leaves no directory and no partial artifacts behind. Identical
+config and seed replay to identical artifacts (checkpoints bitwise, CSVs
+bytewise); the manifest's wallclock lines are the one place times appear.
 
 Exit codes: 0 success, 2 config or validation problem, 3 file I/O problem,
 4 malformed or mismatched artifact, 5 numeric divergence, 1 anything else.
@@ -17,6 +19,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -123,12 +126,16 @@ def plan_from(cfg: dict, depth: int):
     raise CliError("plan section needs 'stages' or 'sizes'")
 
 
-def train_config(cfg: dict, **forced) -> TrainConfig:
+def _train_section(cfg: dict) -> dict:
     section = cfg.get("train") or {}
     if not isinstance(section, dict):
         raise CliError("the 'train' section must be an object")
+    return section
+
+
+def train_config(cfg: dict, **forced) -> TrainConfig:
     try:
-        return TrainConfig(**{**section, **forced})
+        return TrainConfig(**{**_train_section(cfg), **forced})
     except TypeError as e:
         raise CliError(f"train section: {e}") from None
 
@@ -165,16 +172,18 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
     return split(full, fraction, split_seed)
 
 
+def eval_batch_size(cfg: dict) -> int:
+    """train.eval_batch_size, the one train key evaluation reads."""
+    value = _train_section(cfg).get("eval_batch_size", TrainConfig.eval_batch_size)
+    if not is_int(value, 1):
+        raise CliError(f"train.eval_batch_size must be an integer >= 1, got {value!r}")
+    return value
+
+
 # ---- run directory helpers --------------------------------------------------------
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[Path],
+def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[str],
                     extra: dict, started: float) -> None:
     lines = [
         f"command={command}",
@@ -184,11 +193,14 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[
     ]
     for k, v in extra.items():
         lines.append(f"{k}={v}")
-    for art in artifacts:
-        digest = fnv1a64(Path(art).read_bytes())
-        lines.append(f"artifact.{Path(art).name}={digest:#018x}")
+    for name in artifacts:
+        lines.append(f"artifact.{name}={fnv1a64((outdir / name).read_bytes()):#018x}")
     lines.append(f"wallclock_seconds={time.perf_counter() - started:.3f}")
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    _write_lines(lines, outdir / "manifest.txt")
+
+
+def _write_lines(lines: list[str], path: Path) -> None:
+    path.write_text("".join(line + "\n" for line in lines), newline="\n")
 
 
 def _eval_line(tag: str, loss: float, top1: float) -> str:
@@ -197,32 +209,29 @@ def _eval_line(tag: str, loss: float, top1: float) -> str:
 
 # ---- commands -----------------------------------------------------------------------
 #
-# Each command returns (out, resolved config, artifacts, extra manifest lines);
-# main writes the manifest from them.
+# A command never touches --out: it does its work, prints its line and returns
+# (resolved config, {artifact name: writer(path)}, extra manifest lines). main
+# creates --out only after that, so a failed run leaves no directory behind.
 
-Run = tuple[Path, dict, list[Path], dict]
+Run = tuple[dict, dict, dict]
 
 
 def cmd_train_teacher(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
-    out = _outdir(args)
     mcfg = model_config(cfg)
     tcfg = train_config(cfg, alpha=0.0)  # the teacher trains on labels alone
     train_data, val_data = datasets_from(cfg)
     model = build_model(mcfg, tcfg.seed)
     metrics = train_model(model, train_data, val_data, tcfg)
-    ckpt = out / "teacher.sws"
-    cache_path = out / "teacher_logits.sws"
-    save_checkpoint(model, ckpt, provenance={"command": "train-teacher", "seed": tcfg.seed})
-    save_logit_cache(cache_teacher_logits(model, train_data), cache_path)
-    metrics.write_csv(out / "metrics.csv")
+    cache = cache_teacher_logits(model, train_data)
     print(_eval_line("teacher", metrics.final.val_loss, metrics.final.top1))
-    return out, cfg, [ckpt, cache_path, out / "metrics.csv"], {}
+    provenance = {"command": "train-teacher", "seed": tcfg.seed}
+    return cfg, {"teacher.sws": partial(save_checkpoint, model, provenance=provenance),
+                 "teacher_logits.sws": partial(save_logit_cache, cache), "metrics.csv": metrics.write_csv}, {}
 
 
 def cmd_train_aux(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
-    out = _outdir(args)
     mcfg = model_config(cfg)
     tcfg = train_config(cfg)
     plan = plan_from(cfg, mcfg.depth)
@@ -236,106 +245,91 @@ def cmd_train_aux(args) -> Run:
 
     aux = build_aux(mcfg, plan, tcfg.seed)
     metrics = train_model(aux, train_data, val_data, tcfg, teacher)
-    ckpt = out / "aux.sws"
-    pack_path = out / "learngene.sws"
-    save_checkpoint(aux, ckpt, provenance={"command": "train-aux", "seed": tcfg.seed})
     pack = extract_learngene(aux, provenance={"epochs": tcfg.epochs, "seed": tcfg.seed,
                                               "alpha": tcfg.alpha, "tau": tcfg.tau})
-    save_learngene(pack, pack_path)
-    metrics.write_csv(out / "metrics.csv")
     print(_eval_line("aux", metrics.final.val_loss, metrics.final.top1))
-    return out, cfg, [ckpt, pack_path, out / "metrics.csv"], {}
+    provenance = {"command": "train-aux", "seed": tcfg.seed}
+    return cfg, {"aux.sws": partial(save_checkpoint, aux, provenance=provenance),
+                 "learngene.sws": partial(save_learngene, pack), "metrics.csv": metrics.write_csv}, {}
 
 
 def cmd_init_des(args) -> Run:
     pack = load_learngene(args.pack)
-    out = _outdir(args)
     spec = DescendantSpec(depth=args.depth, strategy=args.strategy,
                           order=InitOrder.parse(args.order), seed=args.des_seed,
                           classes=args.classes)
     model, report = init_descendant(pack, spec)
-    ckpt = out / "descendant.sws"
-    save_checkpoint(model, ckpt, provenance={"command": "init-des", "pack": str(args.pack),
-                                             "strategy": spec.strategy, "order": str(spec.order),
-                                             "seed": spec.seed})
-    write_assignment_csv(report, out / "assignment.csv")
     print(f"descendant: depth={args.depth} strategy={spec.strategy} params={count_params(model):,}")
+    provenance = {"command": "init-des", "pack": str(args.pack), "strategy": spec.strategy,
+                  "order": str(spec.order), "seed": spec.seed}
     resolved = {"pack": str(args.pack), "depth": args.depth, "strategy": spec.strategy,
                 "order": str(spec.order), "seed": spec.seed}
-    return out, resolved, [ckpt, out / "assignment.csv"], {}
+    return resolved, {"descendant.sws": partial(save_checkpoint, model, provenance=provenance),
+                      "assignment.csv": partial(write_assignment_csv, report)}, {}
 
 
 def cmd_finetune(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
-    out = _outdir(args)
     model = load_checkpoint(args.checkpoint)
     train_data, val_data = datasets_from(cfg)
     forced = {}
-    if not args.teacher_cache and "alpha" not in (cfg.get("train") or {}):
+    if not args.teacher_cache and "alpha" not in _train_section(cfg):
         forced["alpha"] = 0.0  # descendants tune on labels unless asked otherwise
     tcfg = train_config(cfg, **forced)
     teacher = load_logit_cache(args.teacher_cache) if args.teacher_cache else None
     metrics = train_model(model, train_data, val_data, tcfg, teacher)
-    ckpt = out / "finetuned.sws"
-    save_checkpoint(model, ckpt, provenance={"command": "finetune", "seed": tcfg.seed,
-                                             "from": str(args.checkpoint)})
-    metrics.write_csv(out / "metrics.csv")
     print(_eval_line("finetuned", metrics.final.val_loss, metrics.final.top1))
-    return out, cfg, [ckpt, out / "metrics.csv"], {}
+    provenance = {"command": "finetune", "seed": tcfg.seed, "from": str(args.checkpoint)}
+    return cfg, {"finetuned.sws": partial(save_checkpoint, model, provenance=provenance),
+                 "metrics.csv": metrics.write_csv}, {}
 
 
 def cmd_eval(args) -> Run:
-    cfg = load_config(args.config, args.set, None)
-    out = _outdir(args)
+    cfg = load_config(args.config, args.set, args.seed)
     model = load_checkpoint(args.checkpoint)
     train_data, val_data = datasets_from(cfg)
     data = {"train": train_data, "val": val_data}[args.split]
-    tcfg = train_config(cfg, alpha=0.0, epochs=0)
-    loss, top1 = evaluate(model, data, tcfg.eval_batch_size)
+    loss, top1 = evaluate(model, data, eval_batch_size(cfg))
     print(_eval_line("eval", loss, top1))
-    with open(out / "eval.csv", "w") as fh:
-        fh.write("split,loss,top1\n")
-        fh.write(f"{args.split},{loss:.6f},{top1:.6f}\n")
-    return out, cfg, [out / "eval.csv"], {"checkpoint": str(args.checkpoint), "split": args.split}
+    lines = ["split,loss,top1", f"{args.split},{loss:.6f},{top1:.6f}"]
+    return cfg, {"eval.csv": partial(_write_lines, lines)}, {"checkpoint": str(args.checkpoint), "split": args.split}
 
 
 def cmd_sweep_depth(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
-    out = _outdir(args)
     depths = sorted({int(d) for d in args.depths.split(",")})
     pack = load_learngene(args.pack)
     vanilla = load_checkpoint(args.vanilla)
     train_data, val_data = datasets_from(cfg)
     order = InitOrder.parse(args.order)
-    tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs)
+    batch_size = eval_batch_size(cfg)
+    tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs) if args.scratch_epochs > 0 else None
 
     rows = []
     for depth in depths:
         spec = DescendantSpec(depth=depth, strategy=args.strategy, order=order, seed=args.des_seed)
         des, _ = init_descendant(pack, spec)
-        loss, top1 = evaluate(des, val_data, tcfg.eval_batch_size)
+        loss, top1 = evaluate(des, val_data, batch_size)
         rows.append((depth, count_params(des), "sws", loss, top1))
 
         simple, _ = simple_lg_expand(vanilla, spec)
-        loss, top1 = evaluate(simple, val_data, tcfg.eval_batch_size)
+        loss, top1 = evaluate(simple, val_data, batch_size)
         rows.append((depth, count_params(simple), "simple_lg", loss, top1))
 
-        if args.scratch_epochs > 0:
+        if tcfg is not None:
             scratch_cfg = replace(tcfg, seed=tcfg.seed + depth)
             scratch = build_model(replace(pack.cfg, depth=depth), scratch_cfg.seed)
             train_model(scratch, train_data, val_data, scratch_cfg)
-            loss, top1 = evaluate(scratch, val_data, tcfg.eval_batch_size)
+            loss, top1 = evaluate(scratch, val_data, batch_size)
             rows.append((depth, count_params(scratch), "scratch", loss, top1))
 
     rows.sort(key=lambda r: (r[0], r[2]))
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("depth,params,method,val_loss,top1\n")
-        for depth, params, method, loss, top1 in rows:
-            fh.write(f"{depth},{params},{method},{loss:.6f},{top1:.6f}\n")
+    lines = ["depth,params,method,val_loss,top1"]
     for depth, params, method, loss, top1 in rows:
         print(f"depth={depth} method={method} params={params} val_loss={loss:.6f} top1={top1:.6f}")
-    return out, cfg, [out / "sweep.csv"], {"pack": str(args.pack), "vanilla": str(args.vanilla),
-                                          "depths": ",".join(map(str, depths))}
+        lines.append(f"{depth},{params},{method},{loss:.6f},{top1:.6f}")
+    return cfg, {"sweep.csv": partial(_write_lines, lines)}, {"pack": str(args.pack), "vanilla": str(args.vanilla),
+                                                             "depths": ",".join(map(str, depths))}
 
 
 # ---- argument parsing ------------------------------------------------------------------
@@ -410,8 +404,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        out, resolved, artifacts, extra = args.fn(args)
-        _write_manifest(out, args.command, resolved, artifacts, extra, started)
+        resolved, writers, extra = args.fn(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            write(out / name)
+        _write_manifest(out, args.command, resolved, list(writers), extra, started)
     except Exception as e:
         code = next((code for kinds, code in _EXIT_CODES if isinstance(e, kinds)), EXIT_UNEXPECTED)
         prefix = "error" if code != EXIT_UNEXPECTED else f"unexpected error: {type(e).__name__}"

@@ -122,11 +122,7 @@ def stage_partition(target_depth: int, plan: StagePlan, order: InitOrder = DEFAU
 
 
 def contiguous_assignment(target_depth: int, plan: StagePlan, order: InitOrder = DEFAULT_ORDER) -> list[int]:
-    counts = stage_partition(target_depth, plan, order)
-    out: list[int] = []
-    for m, c in enumerate(counts):
-        out.extend([m] * c)
-    return out
+    return StagePlan(stage_partition(target_depth, plan, order)).stage_of_position()
 
 
 def roundrobin_assignment(target_depth: int, num_stages: int) -> list[int]:

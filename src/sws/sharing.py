@@ -96,8 +96,8 @@ def build_aux(cfg: ModelConfig, plan: StagePlan, seed: int, dtype=np.float32) ->
     return build_params(cfg, seed, plan.stage_of_position(), plan=plan, dtype=dtype)
 
 
-def check_tying(params: ModelParams) -> None:
-    """Verify the aliasing pattern matches the attached plan exactly."""
+def check_tying(params: ModelParams) -> list[LayerParams]:
+    """Verify the aliasing matches the attached plan; return the stage sets in stage order."""
     plan = params.plan
     if plan is None:
         raise PlanError("model has no attached plan")
@@ -112,19 +112,12 @@ def check_tying(params: ModelParams) -> None:
     ids = {id(lp) for lp in reps.values()}
     if len(ids) != plan.num_stages:
         raise PlanError("distinct stages share a parameter set")
+    return list(reps.values())
 
 
 def stage_sets(params: ModelParams) -> list[LayerParams]:
     """The distinct per-stage parameter sets of a tied model, in stage order."""
-    check_tying(params)
-    stage_of = params.plan.stage_of_position()
-    out: list[LayerParams] = []
-    seen: set[int] = set()
-    for pos, m in enumerate(stage_of):
-        if m not in seen:
-            seen.add(m)
-            out.append(params.layers[pos])
-    return out
+    return check_tying(params)
 
 
 def materialize_untied(params: ModelParams) -> ModelParams:

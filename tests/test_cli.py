@@ -533,3 +533,64 @@ def test_sweep_depth_honours_eval_batch_size(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "s"), "--pack", str(pack), "--vanilla", str(vanilla),
                  "--depths", "2,3", "--scratch-epochs", "1"]) == 0
     assert seen == [7] * 6
+
+
+def _overflowing_checkpoint(path):
+    # As in test_exit_5_on_numeric_blowup: gain x qkv weights overflow float32.
+    model = build_model(ModelConfig(**BASE["model"]), seed=0)
+    for lp in model.layers:
+        lp.ln1_g.data = np.full_like(lp.ln1_g.data, 1e20)
+        lp.qkv_w.data = np.full_like(lp.qkv_w.data, 1e20)
+    save_checkpoint(model, path)
+    return path
+
+
+def _bad_idx_config(tmp_path):
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    img.write_bytes(b"\x00\x00\x09\x99" + b"\x00" * 16)
+    lab.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 8)
+    return write_idx_config(tmp_path, {"images": str(img), "labels": str(lab)})
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("argv, code", [
+    (lambda p: ["eval", "--config", str(write_config(p)), "--checkpoint", str(p / "none.sws")], 3),
+    (lambda p: ["finetune", "--config", str(write_config(p)), "--checkpoint", str(p / "none.sws")], 3),
+    (lambda p: ["sweep-depth", "--config", str(write_config(p)), "--pack", str(p / "none.sws"),
+                "--vanilla", str(p / "none.sws"), "--depths", "2,3"], 3),
+    (lambda p: ["train-aux", "--config", str(write_config(p, train={"alpha": 0.5}))], 2),
+    (lambda p: ["train-teacher", "--config", str(_bad_idx_config(p))], 4),
+    (lambda p: ["eval", "--config", str(write_config(p)),
+                "--checkpoint", str(_overflowing_checkpoint(p / "huge.sws"))], 5),
+], ids=["eval-missing-checkpoint", "finetune-missing-checkpoint", "sweep-missing-pack",
+        "aux-without-teacher", "teacher-bad-idx", "eval-overflow"])
+def test_failed_command_leaves_no_out_dir(tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert main([*argv(tmp_path), "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def test_eval_needs_no_training_keys(tmp_path):
+    ckpt, pack = tmp_path / "m.sws", tmp_path / "g.sws"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), ckpt)
+    _save_pack(pack)
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"model": BASE["model"], "data": BASE["data"]}))
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "e" / "eval.csv").read_text().startswith("split,loss,top1\nval,")
+    assert main(["sweep-depth", "--config", str(cfg), "--pack", str(pack), "--vanilla", str(ckpt),
+                 "--depths", "2", "--out", str(tmp_path / "s")]) == 0
+    for bad in ("0", "2.0", "true"):
+        out = tmp_path / f"bad{bad}"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out),
+                     "--set", f"train.eval_batch_size={bad}"]) == 2
+        assert not out.exists()
+
+
+def test_eval_records_the_seed_flag(tmp_path):
+    ckpt = tmp_path / "m.sws"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), ckpt)
+    out = tmp_path / "e"
+    assert main(["eval", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt),
+                 "--seed", "9", "--out", str(out)]) == 0
+    assert '"seed":9' in (out / "manifest.txt").read_text()
