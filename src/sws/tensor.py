@@ -16,6 +16,11 @@ of the k site-local gradients, and a second ``backward`` call adds on top of
 ``grad`` instead of replacing it. Parameter tying elsewhere in the package is
 implemented purely by reusing one Tensor object at several sites and leans on
 this property.
+
+gelu's ``erf`` is a numpy copy of the Cephes ``ndtr.c`` erf (S. L. Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), the code behind
+``scipy.special.erf``: the same coefficients in the same order of operations,
+in float64, so every float32 result is bit-identical to scipy's.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .rng import SplitMix64
 
@@ -288,7 +292,7 @@ def index_axis(a: Tensor, axis: int, i: int) -> Tensor:
     """Select index i along an axis, dropping that axis."""
     if not (-a.data.ndim <= axis < a.data.ndim):
         raise ShapeError(f"index_axis: axis {axis} out of range for shape {a.shape}")
-    out = np.take(a.data, i, axis=axis)
+    out = a.data[(slice(None),) * (axis % a.data.ndim) + (i,)]
 
     def vjp(g):
         full = np.zeros_like(a.data)
@@ -354,10 +358,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centred ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = xhat * gamma.data + beta.data
 
     def vjp(g):
@@ -378,11 +382,78 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erf(x) = 1 - exp(-x^2) P(x) / Q(x) for 1 < x < 8. U and Q are monic
+# (their leading 1 is implied, as in Cephes p1evl).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_BLOCK = 1 << 15
+
+
+def _horner(x: np.ndarray, coef: Sequence[float], out: np.ndarray, monic: bool = False) -> np.ndarray:
+    """Cephes polevl (or p1evl when monic) into ``out``: ans = ans * x + c, in that order."""
+    if monic:
+        np.add(x, coef[0], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        np.add(out, coef[1], out=out)
+        coef = coef[1:]
+    for c in coef[1:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf in x's dtype, computed in float64 as Cephes does, one block at a time."""
+    flat = x.ravel()
+    res = np.empty(flat.size, dtype=x.dtype)
+    n = min(flat.size, _ERF_BLOCK)
+    xs, zs, num, den = (np.empty(n) for _ in range(4))
+    with np.errstate(all="ignore"):  # inf and NaN pass through without warnings
+        for lo in range(0, flat.size, _ERF_BLOCK):
+            m = min(_ERF_BLOCK, flat.size - lo)
+            v, z, p, q = xs[:m], zs[:m], num[:m], den[:m]
+            v[...] = flat[lo:lo + m]
+            # |x| <= 1, evaluated everywhere; the rest is overwritten below.
+            np.multiply(v, v, out=z)
+            _horner(z, _ERF_T, p)
+            _horner(z, _ERF_U, q, monic=True)
+            np.multiply(v, p, out=p)
+            np.divide(p, q, out=p)
+            np.abs(v, out=z)
+            big = np.flatnonzero(z > 1.0)
+            if big.size:
+                # 1 < |x|: 1 - erfc(|x|), sign restored. Cephes gives exactly
+                # 1.0 for |x| >= 8 (erfc(8) ~ 1e-29); clamping |x| at 8 does
+                # too, and keeps P and Q finite for huge or infinite x.
+                a = np.minimum(z.take(big), 8.0)
+                e = np.multiply(a, a)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                pb = _horner(a, _ERFC_P, np.empty_like(a))
+                np.multiply(e, pb, out=e)
+                np.divide(e, _horner(a, _ERFC_Q, pb, monic=True), out=e)
+                np.subtract(1.0, e, out=e)
+                p.put(big, np.copysign(e, v.take(big), out=e))
+            res[lo:lo + m] = p
+    return res.reshape(x.shape)
+
 
 def gelu(a: Tensor) -> Tensor:
     """Exact gelu, x * Phi(x) with the Gaussian CDF via erf."""
     x = a.data
-    phi_cdf = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
+    phi_cdf = _erf(x * x.dtype.type(_INV_SQRT2))
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     out = x * phi_cdf
 
     def vjp(g):

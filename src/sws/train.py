@@ -250,8 +250,11 @@ def evaluate(model: ModelParams, data: Dataset, batch_size: int = 256) -> tuple[
     """(mean classification loss, top-1 accuracy) over the dataset in order.
 
     The forward runs on ``model.detach()``, so it builds no autograd graph
-    and leaves every parameter's grad untouched.
+    and leaves every parameter's grad untouched. A head whose class count
+    differs from the data's is a TrainError.
     """
+    if data.num_classes != model.cfg.classes:
+        raise TrainError(f"model has {model.cfg.classes} classes, data has {data.num_classes}")
     frozen = model.detach()
     total_loss = 0.0
     hits = 0
@@ -313,8 +316,6 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
         teacher.check(train_data)
     elif teacher is not None:
         teacher = teacher.detach()  # frozen: its forward builds no graph
-    if train_data.num_classes != model.cfg.classes:
-        raise TrainError(f"model has {model.cfg.classes} classes, data has {train_data.num_classes}")
 
     opt = AdamW(list(model.named_tensors()), cfg)
     metrics = Metrics()

@@ -594,3 +594,14 @@ def test_eval_records_the_seed_flag(tmp_path):
     assert main(["eval", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt),
                  "--seed", "9", "--out", str(out)]) == 0
     assert '"seed":9' in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("classes", [5, 2], ids=["more-classes-than-data", "fewer-classes-than-data"])
+def test_eval_rejects_a_head_that_does_not_match_the_data(tmp_path, capsys, classes):
+    pack, des, out = tmp_path / "g.sws", tmp_path / "d", tmp_path / "e"
+    _save_pack(pack)
+    assert main(["init-des", "--pack", str(pack), "--depth", "2", "--classes", str(classes), "--out", str(des)]) == 0
+    assert main(["eval", "--config", str(write_config(tmp_path)), "--checkpoint", str(des / "descendant.sws"),
+                 "--out", str(out)]) == 2
+    assert f"model has {classes} classes, data has 3" in capsys.readouterr().err
+    assert not out.exists()

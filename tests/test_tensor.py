@@ -1,8 +1,19 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sws
 from sws import tensor as T
 from sws.tensor import Tensor, backward, grad_check
+
+
+SRC = str(Path(sws.__file__).resolve().parents[1])
 
 
 def rnd(shape, seed=0, scale=1.0):
@@ -332,3 +343,78 @@ def test_weight_product_of_a_permuted_view():
     w = Tensor(rnd((4, 2), 46), dtype=np.float64)
     got = T.matmul(T.permute(x, (1, 2, 0)), w).data
     np.testing.assert_allclose(got, np.transpose(x.data, (1, 2, 0)) @ w.data, rtol=1e-12)
+
+
+# ---- erf: a numpy copy of Cephes, bit for bit -------------------------------------
+
+# float32 input bits -> erf output bits, computed with scipy.special.erf.
+ERF32_GOLDEN = [
+    (0x00000000, 0x00000000), (0x80000000, 0x80000000), (0x00000001, 0x00000001),
+    (0x806CE3EE, 0x807ADE9E), (0x1E3CE508, 0x1E552511), (0x3E000000, 0x3E0FAF0D),
+    (0x3F000000, 0x3F053F7B), (0xBF3504F3, 0xBF2EC4BD), (0x3F7FFFFF, 0x3F57BB3D),
+    (0x3F800000, 0x3F57BB3D), (0xBF800000, 0xBF57BB3D), (0x3F800001, 0x3F57BB3E),
+    (0x3FC00000, 0x3F7752AB), (0xC0100000, 0xBF7FA024), (0x40400000, 0x3F7FFE8D),
+    (0x40900000, 0x3F800000), (0xC0BCCCCD, 0xBF800000), (0x40FFFFFF, 0x3F800000),
+    (0x41000000, 0x3F800000), (0xC1000000, 0xBF800000), (0x7149F2CA, 0x3F800000),
+    (0x7F800000, 0x3F800000), (0xFF800000, 0xBF800000),
+]
+
+
+def test_erf_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    # Every 4099th float32 bit pattern, +-64 ulps around +-1 and +-8, subnormals, +-0, +-inf.
+    strided = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32)
+    edges = [np.float32(v).view(np.uint32) for v in (1.0, 8.0, -1.0, -8.0)]
+    near = np.concatenate([np.arange(int(e) - 64, int(e) + 65, dtype=np.uint32) for e in edges])
+    sub = np.concatenate([np.arange(0, 4096, dtype=np.uint32), np.arange(0x007FF000, 0x00800000, dtype=np.uint32)])
+    special_bits = np.array([0x7F800000, 0xFF800000], dtype=np.uint32)
+    x = np.concatenate([strided, near, sub, sub | np.uint32(0x80000000), special_bits]).view(np.float32)
+    x = x[~np.isnan(x)]
+    got, want = T._erf(x), special.erf(x)
+    assert got.dtype == np.float32
+    bad = np.flatnonzero(got.view(np.uint32) != want.view(np.uint32))
+    assert bad.size == 0, f"{bad.size} mismatches, first at x={x[bad[0]]!r}"
+    x64 = rnd(20_000, 40, scale=3.0)
+    got64, want64 = T._erf(x64), special.erf(x64)
+    assert np.all(np.abs(got64 - want64) <= np.spacing(np.abs(want64)))  # np.exp vs libm exp
+
+
+def test_erf_golden_bits():
+    x = np.array([i for i, _ in ERF32_GOLDEN], dtype=np.uint32).view(np.float32)
+    want = np.array([o for _, o in ERF32_GOLDEN], dtype=np.uint32)
+    assert np.array_equal(T._erf(x).view(np.uint32), want)
+    assert T._erf(x.reshape(23, 1)).shape == (23, 1)
+
+
+def test_erf_float64_close_to_math_erf():
+    x = np.concatenate([rnd(4000, 41, scale=s) for s in (1e-3, 0.5, 1.5, 4.0)] + [np.linspace(-9, 9, 1001)])
+    got = T._erf(x)
+    want = np.array([math.erf(v) for v in x])
+    assert got.dtype == np.float64
+    # Cephes is within a few ulps of the correctly rounded erf.
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_erf_spans_several_blocks():
+    x = rnd(3 * T._ERF_BLOCK + 5, 42, scale=2.0).astype(np.float32)
+    whole = T._erf(x)
+    parts = np.concatenate([T._erf(x[i:i + 1000]) for i in range(0, x.size, 1000)])
+    assert np.array_equal(whole.view(np.uint32), parts.view(np.uint32))
+    assert T._erf(np.zeros((0, 3), np.float32)).shape == (0, 3)
+
+
+def test_erf_nan_passes_through_quietly():
+    x = np.array([np.nan, -np.nan, np.inf, 2.0, 0.5], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = T._erf(x)
+        y = T.gelu(Tensor(x)).data
+    assert np.isnan(got[:2]).all() and got[2] == 1.0
+    assert np.isnan(y[:2]).all()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, sws.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
