@@ -344,6 +344,16 @@ def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory for artifacts")
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_expansion(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", default=DescendantSpec.strategy, choices=STRATEGIES)
     p.add_argument("--order", default=str(DEFAULT_ORDER), help="group priority, e.g. front-mid-last")
@@ -364,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-aux", help="train the stage-tied auxiliary model, extract the learngene pack")
     _add_common(p)
-    p.add_argument("--teacher-cache", default=None, help="logit cache artifact for distillation")
-    p.add_argument("--teacher-checkpoint", default=None, help="teacher checkpoint (logits cached on the fly)")
+    teacher = p.add_mutually_exclusive_group()
+    teacher.add_argument("--teacher-cache", default=None, help="logit cache artifact for distillation")
+    teacher.add_argument("--teacher-checkpoint", default=None, help="teacher checkpoint (logits cached on the fly)")
     p.set_defaults(fn=cmd_train_aux)
 
     p = sub.add_parser("init-des", help="expand a learngene pack into a descendant checkpoint")
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vanilla", required=True, help="plain checkpoint for the baseline expansion")
     p.add_argument("--depths", required=True, help="comma-separated depths, e.g. 5,6,7,8")
     _add_expansion(p)
-    p.add_argument("--scratch-epochs", type=int, default=0,
+    p.add_argument("--scratch-epochs", type=_non_negative, default=0,
                    help="also train a scratch model per depth for this many epochs")
     p.set_defaults(fn=cmd_sweep_depth)
     return parser

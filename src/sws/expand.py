@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .rng import SplitMix64
 from .sharing import LearngenePack, StagePlan, custom_plan, extract_learngene
-from .vit import ModelParams, reinit_head
+from .vit import ModelParams, is_int, reinit_head
 
 GROUPS = ("front", "mid", "last")
 STRATEGIES = ("cyclic-contiguous", "cyclic-roundrobin", "random")
@@ -86,6 +86,8 @@ class DescendantSpec:
             raise ExpandError(f"descendant depth must be >= 1, got {self.depth}")
         if self.strategy not in STRATEGIES:
             raise ExpandError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+        if not (self.classes is None or is_int(self.classes, 1)):
+            raise ExpandError(f"classes must be a positive integer or None, got {self.classes!r}")
 
 
 def stage_partition(target_depth: int, plan: StagePlan, order: InitOrder = DEFAULT_ORDER) -> tuple[int, ...]:

@@ -85,7 +85,7 @@ class SplitMix64:
     def truncated_normal(self, shape, std: float = 1.0, bound: float = 2.0) -> np.ndarray:
         """Normal(0, std) with draws outside bound*sigma rejected and redrawn."""
         size = int(np.prod(shape)) if shape else 1
-        kept: list[np.ndarray] = []
+        kept: list[np.ndarray] = [np.empty(0)]  # a zero-size shape draws nothing
         need = size
         while need > 0:
             z = self.block_normal(need)

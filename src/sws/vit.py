@@ -24,6 +24,11 @@ from .tensor import Tensor
 LN_EPS = 1e-6
 INIT_STD = 0.02
 
+# A graph-free forward runs in row blocks whose widest activation holds at
+# most this many bytes, about one core's L2 cache. A constant rather than a
+# size read from the machine, so the logits do not depend on the host.
+ROW_BLOCK_BYTES = 2 << 20
+
 
 class ConfigError(ValueError):
     pass
@@ -300,11 +305,38 @@ def _block(x: Tensor, lp: LayerParams, cfg: ModelConfig, b: int, n: int) -> Tens
 
 
 def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
-    """Logits (B, classes) for a batch of images (B, C, H, W)."""
+    """Logits (B, classes) for a batch of images (B, C, H, W).
+
+    When neither the images nor any parameter requires grad, the batch runs
+    in blocks of ``row_block_size`` samples and the logits are concatenated,
+    so memory stays bounded however large the batch is. Every op treats the
+    samples of a batch independently, so the logits are the same bits as one
+    whole-batch pass. A forward that builds a graph never splits.
+    """
     cfg = params.cfg
     expect = (cfg.channels, cfg.image_size, cfg.image_size)
     if images.data.ndim != 4 or images.shape[1:] != expect:
         raise T.ShapeError(f"forward_logits: images {images.shape} do not match (B,) + {expect}")
+    rows = row_block_size(cfg, np.result_type(images.data.dtype, params.patch_w.data.dtype).itemsize)
+    if (images.shape[0] <= rows or images.requires_grad
+            or any(t.requires_grad for _, t in params.named_tensors())):
+        return _logits(params, images)
+    return Tensor(np.concatenate([_logits(params, Tensor(images.data[i:i + rows])).data
+                                  for i in range(0, images.shape[0], rows)]))
+
+
+def row_block_size(cfg: ModelConfig, itemsize: int) -> int:
+    """Samples per graph-free row block: as many as keep the widest activation
+    of one sample, n x max(3 * width, mlp_dim, heads * n) for n = 1 +
+    num_patches tokens (qkv, the MLP hidden layer or the attention scores),
+    within ROW_BLOCK_BYTES; at least one."""
+    n = 1 + cfg.num_patches
+    per_sample = n * max(3 * cfg.width, cfg.mlp_dim, cfg.heads * n) * itemsize
+    return max(1, ROW_BLOCK_BYTES // per_sample)
+
+
+def _logits(params: ModelParams, images: Tensor) -> Tensor:
+    cfg = params.cfg
     b = images.shape[0]
     n = 1 + cfg.num_patches
 

@@ -605,3 +605,26 @@ def test_eval_rejects_a_head_that_does_not_match_the_data(tmp_path, capsys, clas
                  "--out", str(out)]) == 2
     assert f"model has {classes} classes, data has 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-aux", "--config", "c.json", "--teacher-cache", "t.sws", "--teacher-checkpoint", "none.sws"],
+    ["sweep-depth", "--config", "c.json", "--pack", "g.sws", "--vanilla", "v.sws", "--depths", "2",
+     "--scratch-epochs", "-1"],
+], ids=["aux-cache-and-checkpoint", "sweep-negative-scratch-epochs"])
+def test_exit_2_on_conflicting_or_negative_flags(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--out", str(out)])
+    assert e.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", ["0", "-3"])
+def test_exit_2_on_init_des_without_classes(tmp_path, capsys, classes):
+    pack, out = tmp_path / "g.sws", tmp_path / "d"
+    _save_pack(pack)
+    assert main(["init-des", "--pack", str(pack), "--depth", "2", "--classes", classes, "--out", str(out)]) == 2
+    assert f"classes must be a positive integer or None, got {classes}" in capsys.readouterr().err
+    assert not out.exists()

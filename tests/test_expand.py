@@ -227,6 +227,12 @@ def test_descendant_head_reinit_on_class_change():
     assert not np.array_equal(des.head_w.data, other.head_w.data)
 
 
+@pytest.mark.parametrize("classes", [0, -3, 2.0, True, "3"])
+def test_descendant_spec_rejects_bad_classes(classes):
+    with pytest.raises(ExpandError, match="classes"):
+        DescendantSpec(depth=5, classes=classes)
+
+
 def test_descendant_depth_below_stages_rejected():
     pack = make_pack(plan=StagePlan((2, 2)))
     with pytest.raises(ExpandError):

@@ -100,6 +100,14 @@ def test_truncated_normal_bound_and_shape():
     np.testing.assert_array_equal(z, again)
 
 
+def test_truncated_normal_of_a_zero_size_shape_is_empty():
+    rng = SplitMix64(7)
+    for shape in ((0,), (16, 0), (0, 3, 2)):
+        z = rng.truncated_normal(shape, std=0.02)
+        assert z.shape == shape and z.dtype == np.float64
+    assert np.array_equal(rng.truncated_normal((5,)), SplitMix64(7).truncated_normal((5,)))  # drew nothing
+
+
 def test_truncated_normal_scales_by_std():
     base = SplitMix64(7).truncated_normal((30,), std=1.0)
     scaled = SplitMix64(7).truncated_normal((30,), std=0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,19 @@ def test_evaluate_builds_no_graph_and_matches_a_graph_forward(monkeypatch):
         total += loss_cls(logits, labels).item() * len(labels)
         hits += int((np.argmax(logits.data, axis=-1) == labels).sum())
     assert (loss, top1) == (total / len(data), hits / len(data))
+
+
+def test_evaluate_memory_does_not_grow_with_the_batch():
+    cfg = ModelConfig(image_size=16, patch_size=4, channels=1, depth=2, width=128, heads=4, classes=10)
+    model, data = build_model(cfg, seed=1), make_synthetic(256, 10, 16, seed=2)
+    activation = 256 * 17 * 512 * 4  # one (256, 17, 512) float32 MLP activation of the whole batch
+    tracemalloc.start()
+    try:
+        evaluate(model, data, batch_size=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * activation
 
 
 # ---- the loop ---------------------------------------------------------------------------

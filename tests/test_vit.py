@@ -5,6 +5,7 @@ from sws import tensor as T
 from sws.sharing import balanced_plan, build_aux, check_tying
 from sws.tensor import Tensor, backward, grad_check
 from sws.vit import (
+    ROW_BLOCK_BYTES,
     ConfigError,
     LayerParams,
     ModelConfig,
@@ -14,6 +15,7 @@ from sws.vit import (
     forward_logits,
     is_int,
     reinit_head,
+    row_block_size,
 )
 
 TINY = ModelConfig(image_size=8, patch_size=4, channels=1, depth=2, width=16, heads=2, classes=3)
@@ -308,3 +310,45 @@ def test_detach_shares_arrays_and_keeps_tying():
     assert np.array_equal(free.data, graph.data)
     assert graph._vjp is not None
     assert not free.requires_grad and free._vjp is None and free._parents == ()
+
+
+def test_row_block_size_fits_the_widest_activation():
+    cfg = ModelConfig(image_size=16, patch_size=4, channels=1, depth=2, width=128, heads=4, classes=10)
+    per_sample = 17 * 512 * 4  # tokens x mlp_dim x float32
+    assert row_block_size(cfg, 4) == ROW_BLOCK_BYTES // per_sample
+    assert row_block_size(cfg, 8) == ROW_BLOCK_BYTES // (2 * per_sample)
+    wide_qkv = ModelConfig(image_size=16, patch_size=4, channels=1, depth=1, width=128, heads=4, classes=3,
+                           mlp_ratio=1.0)
+    assert row_block_size(wide_qkv, 4) == ROW_BLOCK_BYTES // (17 * 384 * 4)
+    many_tokens = ModelConfig(image_size=32, patch_size=2, channels=1, depth=1, width=16, heads=2, classes=3)
+    assert row_block_size(many_tokens, 4) == ROW_BLOCK_BYTES // (257 * 2 * 257 * 4)  # attention scores
+    huge = ModelConfig(image_size=64, patch_size=2, channels=1, depth=1, width=1024, heads=4, classes=3)
+    assert row_block_size(huge, 4) == 1
+
+
+def test_graph_free_forward_runs_in_row_blocks_bit_for_bit(monkeypatch):
+    import sws.vit as vit
+
+    cfg = ModelConfig(image_size=16, patch_size=4, channels=1, depth=2, width=128, heads=4, classes=10)
+    model = build_model(cfg, seed=5)
+    rows = row_block_size(cfg, 4)
+    x = Tensor(images_for(cfg, 2 * rows + 7, seed=1))
+    graph = forward_logits(model, x)
+
+    seen = []
+    logits = vit._logits
+
+    def spy(params, images):
+        seen.append(images.shape[0])
+        return logits(params, images)
+    monkeypatch.setattr(vit, "_logits", spy)
+    free = forward_logits(model.detach(), x)
+    assert seen == [rows, rows, 7]
+    assert free.data.dtype == graph.data.dtype and free.shape == graph.shape
+    assert np.array_equal(free.data.view(np.uint32), graph.data.view(np.uint32))
+    assert not free.requires_grad and free._vjp is None
+
+    seen.clear()  # a graph-building forward never splits
+    forward_logits(model, x)
+    forward_logits(model.detach(), Tensor(x.data, requires_grad=True))
+    assert seen == [x.shape[0]] * 2
