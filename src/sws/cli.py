@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import Dataset, IdxFormatError, fnv1a64, load_idx, make_synthetic, split
@@ -32,7 +35,7 @@ from .store import (StoreError, load_checkpoint, load_learngene, load_logit_cach
 from .tensor import NumericError
 from .train import (DivergenceError, StaleCacheError, TrainConfig, cache_teacher_logits, evaluate,
                     train_model)
-from .vit import ModelConfig, build_model, count_params, is_int, is_real
+from .vit import ModelConfig, build_model, count_params, is_int, is_real, openblas_threads
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -190,6 +193,7 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[
         f"argv={' '.join(sys.argv[1:])}",
         f"package_version={__version__}",
         f"config={json.dumps(resolved, sort_keys=True, separators=(',', ':'))}",
+        *_environment(),
     ]
     for k, v in extra.items():
         lines.append(f"{k}={v}")
@@ -197,6 +201,19 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[
         lines.append(f"artifact.{name}={fnv1a64((outdir / name).read_bytes()):#018x}")
     lines.append(f"wallclock_seconds={time.perf_counter() - started:.3f}")
     _write_lines(lines, outdir / "manifest.txt")
+
+
+def _environment() -> list[str]:
+    """Manifest lines naming the interpreter, numpy, its BLAS and that BLAS's
+    thread count ("unknown" where numpy does not say)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = "unknown"
+    threads = openblas_threads()
+    return [f"python={platform.python_version()}", f"numpy={np.__version__}", f"blas={blas}",
+            f"blas_threads={threads[0]() if threads else 'unknown'}"]
 
 
 def _write_lines(lines: list[str], path: Path) -> None:
@@ -297,7 +314,6 @@ def cmd_eval(args) -> Run:
 
 def cmd_sweep_depth(args) -> Run:
     cfg = load_config(args.config, args.set, args.seed)
-    depths = sorted({int(d) for d in args.depths.split(",")})
     pack = load_learngene(args.pack)
     vanilla = load_checkpoint(args.vanilla)
     train_data, val_data = datasets_from(cfg)
@@ -306,7 +322,7 @@ def cmd_sweep_depth(args) -> Run:
     tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs) if args.scratch_epochs > 0 else None
 
     rows = []
-    for depth in depths:
+    for depth in args.depths:
         spec = DescendantSpec(depth=depth, strategy=args.strategy, order=order, seed=args.des_seed)
         des, _ = init_descendant(pack, spec)
         loss, top1 = evaluate(des, val_data, batch_size)
@@ -329,7 +345,7 @@ def cmd_sweep_depth(args) -> Run:
         print(f"depth={depth} method={method} params={params} val_loss={loss:.6f} top1={top1:.6f}")
         lines.append(f"{depth},{params},{method},{loss:.6f},{top1:.6f}")
     return cfg, {"sweep.csv": partial(_write_lines, lines)}, {"pack": str(args.pack), "vanilla": str(args.vanilla),
-                                                             "depths": ",".join(map(str, depths))}
+                                                             "depths": ",".join(map(str, args.depths))}
 
 
 # ---- argument parsing ------------------------------------------------------------------
@@ -344,14 +360,22 @@ def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory for artifacts")
 
 
-def _non_negative(text: str) -> int:
+def _at_least(least: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
     return value
+
+
+_non_negative = partial(_at_least, 0)
+
+
+def _depths(text: str) -> list[int]:
+    """Comma-separated depths, each an integer >= 1; sorted, repeats dropped."""
+    return sorted({_at_least(1, entry) for entry in text.split(",")})
 
 
 def _add_expansion(p: argparse.ArgumentParser) -> None:
@@ -403,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--pack", required=True)
     p.add_argument("--vanilla", required=True, help="plain checkpoint for the baseline expansion")
-    p.add_argument("--depths", required=True, help="comma-separated depths, e.g. 5,6,7,8")
+    p.add_argument("--depths", type=_depths, required=True, help="comma-separated depths, e.g. 5,6,7,8")
     _add_expansion(p)
     p.add_argument("--scratch-epochs", type=_non_negative, default=0,
                    help="also train a scratch model per depth for this many epochs")

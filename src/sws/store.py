@@ -14,7 +14,8 @@ One container format serves all three. Layout:
 Offsets are assigned to names in sorted order, so writing the same content
 twice yields byte-identical files. Writes go through a temp file plus rename
 and never leave a partial artifact behind. Storage is always 32-bit; float64
-inputs are cast on save. No compression, no checksum.
+inputs are cast on save, and non-finite values are refused on save and on
+load. No compression, no checksum.
 
 Every way a file can be wrong maps to its own exception type so callers can
 tell a stale path from a corrupt artifact from a version skew.
@@ -69,6 +70,10 @@ class OverlapError(StoreError):
 
 class HeaderError(StoreError):
     pass
+
+
+class NonFiniteError(StoreError):
+    """A payload holds a NaN or an infinity, which ``save`` never writes."""
 
 
 def _align8(n: int) -> int:
@@ -168,6 +173,8 @@ def load(path, expected_kind: str) -> tuple[dict[str, np.ndarray], dict]:
             raise TruncatedError(f"{path}: tensor {name!r} extends past end of file")
         spans.append((off, off + length, name))
         arr = np.frombuffer(raw, dtype="<f4", count=length // 4, offset=payload_at + off)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{path}: tensor {name!r} has non-finite values")
         try:
             out[name] = arr.reshape(shape).copy()
         except ValueError:  # more than 64 axes, or a zero-size shape too large for numpy

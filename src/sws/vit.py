@@ -12,6 +12,11 @@ top of the same internals here.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib.machinery
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
@@ -25,9 +30,15 @@ LN_EPS = 1e-6
 INIT_STD = 0.02
 
 # A graph-free forward runs in row blocks whose widest activation holds at
-# most this many bytes, about one core's L2 cache. A constant rather than a
-# size read from the machine, so the logits do not depend on the host.
-ROW_BLOCK_BYTES = 2 << 20
+# most this many bytes (768 KiB), so that the two blocks in flight at once
+# fit in about one core's L2 cache. A constant rather than a size read from
+# the machine, so the logits do not depend on the host.
+ROW_BLOCK_BYTES = 3 << 18
+
+# OpenBLAS's thread-count controls, (get, set) names, most specific build first.
+_OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 class ConfigError(ValueError):
@@ -308,10 +319,12 @@ def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
     """Logits (B, classes) for a batch of images (B, C, H, W).
 
     When neither the images nor any parameter requires grad, the batch runs
-    in blocks of ``row_block_size`` samples and the logits are concatenated,
-    so memory stays bounded however large the batch is. Every op treats the
-    samples of a batch independently, so the logits are the same bits as one
-    whole-batch pass. A forward that builds a graph never splits.
+    in blocks of ``row_block_size`` samples (see ``_row_blocks``) and the
+    logits are concatenated in block order, so memory stays bounded however
+    large the batch is. Every op treats the samples of a batch independently,
+    so the logits are the same bits as one whole-batch pass. A forward that
+    builds a graph never splits. Not meant to be called from several threads
+    at once: a split forward sets OpenBLAS's process-wide thread count.
     """
     cfg = params.cfg
     expect = (cfg.channels, cfg.image_size, cfg.image_size)
@@ -321,8 +334,89 @@ def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
     if (images.shape[0] <= rows or images.requires_grad
             or any(t.requires_grad for _, t in params.named_tensors())):
         return _logits(params, images)
-    return Tensor(np.concatenate([_logits(params, Tensor(images.data[i:i + rows])).data
-                                  for i in range(0, images.shape[0], rows)]))
+    blocks = [Tensor(images.data[i:i + rows]) for i in range(0, images.shape[0], rows)]
+    return Tensor(np.concatenate(_row_blocks(params, blocks)))
+
+
+def _row_blocks(params: ModelParams, blocks: list[Tensor]) -> list[np.ndarray]:
+    """Each block's logits, in order, run in pairs: the calling thread runs
+    block 2k while the helper thread runs block 2k + 1. OpenBLAS is held to
+    one thread meanwhile, so the two lanes do not compete for the cores with
+    its own threads. The blocks run one after another instead when there
+    are two or fewer (a pair of uneven blocks gains little and a second
+    thread costs its own heap), when the process may use only one CPU, or
+    without OpenBLAS's thread controls. If a block raises, the other lane's
+    block is waited for and the thread count restored before the error
+    propagates."""
+    blas = openblas_threads() if len(blocks) > 2 and _usable_cpus() > 1 else None
+    lanes = 1 if blas is None else 2
+    out = []
+    with _one_blas_thread(blas):
+        for k in range(0, len(blocks), lanes):
+            side = [_helper().submit(_logits, params, b) for b in blocks[k + 1:k + lanes]]
+            try:
+                out.append(_logits(params, blocks[k]).data)
+            finally:
+                for f in side:
+                    f.exception()  # waits; the result is read below
+            out.extend(f.result().data for f in side)
+    return out
+
+
+@functools.cache
+def _helper():
+    """The one helper thread of ``_row_blocks``, started by its first split."""
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import sws`
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="sws-row-blocks")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions, looked up once in the
+    library numpy's own ``_multiarray_umath`` extension loads, or None when
+    that extension cannot be opened or its BLAS exposes none of them."""
+    # numpy 1.26 also ships numpy/_core/_multiarray_umath.py, a pure-Python
+    # shim for reading numpy 2 pickles, so the package follows the version.
+    package = "numpy._core" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "numpy.core"
+    try:
+        path = importlib.import_module(f"{package}._multiarray_umath").__file__
+        if not str(path).endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES)):
+            return None
+        lib = ctypes.CDLL(path)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREADS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread(blas):
+    """OpenBLAS held to one thread inside the block, its count restored after;
+    nothing when ``blas`` is None."""
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def row_block_size(cfg: ModelConfig, itemsize: int) -> int:

@@ -628,3 +628,65 @@ def test_exit_2_on_init_des_without_classes(tmp_path, capsys, classes):
     assert main(["init-des", "--pack", str(pack), "--depth", "2", "--classes", classes, "--out", str(out)]) == 2
     assert f"classes must be a positive integer or None, got {classes}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("depths, bad", [("2,,3", "''"), ("2.5", "'2.5'"), ("3,0", "'0'"), ("x", "'x'")])
+def test_exit_2_on_a_bad_depths_entry(tmp_path, capsys, depths, bad):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        main(["sweep-depth", "--config", "c.json", "--pack", "g.sws", "--vanilla", "v.sws",
+              "--depths", depths, "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --depths" in err and f"got {bad}" in err
+    assert not out.exists()
+
+
+def test_depths_are_sorted_without_repeats():
+    args = build_parser().parse_args(["sweep-depth", "--config", "c", "--pack", "p", "--vanilla", "v",
+                                      "--depths", "8,4, 6,4", "--out", "o"])
+    assert args.depths == [4, 6, 8]
+
+
+def test_exit_4_on_a_nan_payload(tmp_path, capsys):
+    ckpt, out = tmp_path / "m.sws", tmp_path / "e"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=0), ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    hlen = int.from_bytes(raw[8:16], "little")
+    raw[16 + hlen:16 + hlen + 4] = np.float32(np.nan).tobytes()  # first value of the first tensor
+    ckpt.write_bytes(bytes(raw))
+    assert main(["eval", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 4
+    assert "non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_records_the_environment(tmp_path):
+    import platform
+
+    from sws.vit import openblas_threads
+
+    out = tmp_path / "t"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    env = dict(line.split("=", 1) for line in lines[4:8])
+    assert list(env) == ["python", "numpy", "blas", "blas_threads"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["blas"]
+    threads = openblas_threads()
+    assert env["blas_threads"] == (str(threads[0]()) if threads else "unknown")
+
+
+def test_manifest_says_unknown_when_the_blas_lookup_fails(tmp_path, monkeypatch):
+    import sws.vit as vit
+
+    def cdll(path):
+        raise OSError(f"{path}: cannot open shared object file")
+    monkeypatch.setattr(vit.ctypes, "CDLL", cdll)
+    vit.openblas_threads.cache_clear()
+    try:
+        out = tmp_path / "t"
+        assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    finally:
+        vit.openblas_threads.cache_clear()
+    assert "blas_threads=unknown" in (out / "manifest.txt").read_text().splitlines()

@@ -15,6 +15,7 @@ from sws.store import (
     BadMagicError,
     HeaderError,
     KindError,
+    NonFiniteError,
     OverlapError,
     StoreError,
     TruncatedError,
@@ -520,3 +521,16 @@ def test_load_fuzzed_header_values_raise_only_store_errors(tmp_path_factory, whe
     enc += b" " * (-len(enc) % 8)
     path.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(enc)) + enc + raw[16 + hlen:])
     _load_or_store_error(path)
+
+
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800000, 0xFF800000], ids=["nan", "inf", "-inf"])
+def test_load_rejects_a_non_finite_payload(tmp_path, bits):
+    path = tmp_path / "a.sws"
+    save(path, "checkpoint", arrays_fixture())
+    raw = bytearray(path.read_bytes())
+    hlen = struct.unpack_from("<Q", raw, 8)[0]
+    struct.pack_into("<I", raw, 16 + hlen + 4, bits)  # second value of "alpha", the first tensor
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteError, match="'alpha' has non-finite values"):
+        load(path, "checkpoint")
+    assert issubclass(NonFiniteError, StoreError)

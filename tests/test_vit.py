@@ -352,3 +352,148 @@ def test_graph_free_forward_runs_in_row_blocks_bit_for_bit(monkeypatch):
     forward_logits(model, x)
     forward_logits(model.detach(), Tensor(x.data, requires_grad=True))
     assert seen == [x.shape[0]] * 2
+
+
+# ---- paired row blocks ------------------------------------------------------------
+
+PAIRED = ModelConfig(image_size=16, patch_size=4, channels=1, depth=2, width=128, heads=4, classes=10)
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """The (get, set) pair a split forward will use: OpenBLAS's own when numpy
+    exposes it, a stand-in otherwise, with two usable CPUs, so the pairs
+    always run."""
+    import sws.vit as vit
+
+    pair = vit.openblas_threads()
+    if pair is None:
+        count = [2]
+        pair = (lambda: count[0]), (lambda n: count.__setitem__(0, n))
+    monkeypatch.setattr(vit, "openblas_threads", lambda: pair)
+    monkeypatch.setattr(vit, "_usable_cpus", lambda: 2)
+    return pair
+
+
+def spy_blocks(monkeypatch, blas=None):
+    """Record (rows, thread id, BLAS threads) for every vit._logits call."""
+    import threading
+
+    import sws.vit as vit
+
+    seen = []
+    logits = vit._logits
+
+    def spy(params, images):
+        seen.append((images.shape[0], threading.get_ident(), blas[0]() if blas else None))
+        return logits(params, images)
+    monkeypatch.setattr(vit, "_logits", spy)
+    return seen
+
+
+@pytest.mark.parametrize("found", [True, False], ids=["openblas-found", "openblas-missing"])
+def test_paired_row_blocks_equal_sequential_blocks_and_a_graph_pass(monkeypatch, blas, found):
+    import sws.vit as vit
+
+    model = build_model(PAIRED, seed=5)
+    rows = row_block_size(PAIRED, 4)
+    x = images_for(PAIRED, 4 * rows + 3, seed=2)  # five blocks: two pairs, then one block alone
+    graph = forward_logits(model, Tensor(x)).data
+    sequential = np.concatenate([vit._logits(model.detach(), Tensor(x[i:i + rows])).data
+                                 for i in range(0, len(x), rows)])
+    if not found:
+        monkeypatch.setattr(vit, "openblas_threads", lambda: None)
+    seen = spy_blocks(monkeypatch)
+    paired = forward_logits(model.detach(), Tensor(x)).data
+    assert sorted(n for n, _, _ in seen) == [3] + [rows] * 4
+    for other in (sequential, graph):
+        assert paired.dtype == other.dtype and paired.shape == other.shape
+        assert np.array_equal(paired.view(np.uint32), other.view(np.uint32))
+
+
+def test_paired_row_blocks_use_the_helper_thread_with_blas_held_to_one(monkeypatch, blas):
+    import threading
+
+    rows = row_block_size(PAIRED, 4)
+    before = blas[0]()
+    seen = spy_blocks(monkeypatch, blas)
+    forward_logits(build_model(PAIRED, seed=5).detach(), Tensor(images_for(PAIRED, 3 * rows, seed=1)))
+    threads = {tid for _, tid, _ in seen}
+    assert len(seen) == 3 and len(threads) == 2 and threading.get_ident() in threads
+    assert [threads for _, _, threads in seen] == [1, 1, 1]
+    assert blas[0]() == before
+
+
+@pytest.mark.parametrize("blocks, cpus", [(2, 2), (4, 1)], ids=["two-blocks", "one-cpu"])
+def test_row_blocks_run_in_one_thread_with_two_blocks_or_one_cpu(monkeypatch, blas, blocks, cpus):
+    import threading
+
+    import sws.vit as vit
+
+    monkeypatch.setattr(vit, "_usable_cpus", lambda: cpus)
+    rows = row_block_size(PAIRED, 4)
+    before = blas[0]()
+    seen = spy_blocks(monkeypatch, blas)
+    forward_logits(build_model(PAIRED, seed=5).detach(), Tensor(images_for(PAIRED, blocks * rows, seed=1)))
+    assert [(n, tid, threads) for n, tid, threads in seen] == [(rows, threading.get_ident(), before)] * blocks
+
+
+@pytest.fixture
+def fresh_lookup():
+    """openblas_threads looked up anew inside the test and again after it."""
+    import sws.vit as vit
+
+    vit.openblas_threads.cache_clear()
+    yield vit
+    vit.openblas_threads.cache_clear()
+
+
+@pytest.mark.parametrize("failure", ["cdll-raises", "python-shim"])
+def test_a_failed_blas_lookup_runs_the_blocks_in_sequence(monkeypatch, fresh_lookup, failure):
+    import importlib
+    import threading
+    import types
+
+    vit = fresh_lookup
+    if failure == "cdll-raises":
+        def cdll(path):
+            raise OSError(f"{path}: cannot open shared object file")
+        monkeypatch.setattr(vit.ctypes, "CDLL", cdll)
+    else:  # what numpy 1.26 has under numpy/_core: a .py file, not an extension
+        shim = types.SimpleNamespace(__file__="/site-packages/numpy/_core/_multiarray_umath.py")
+        monkeypatch.setattr(importlib, "import_module", lambda name: shim)
+    assert vit.openblas_threads() is None
+    monkeypatch.undo()  # the cached None stays
+    monkeypatch.setattr(vit, "_usable_cpus", lambda: 2)
+    rows = row_block_size(PAIRED, 4)
+    seen = spy_blocks(monkeypatch)
+    forward_logits(build_model(PAIRED, seed=5).detach(), Tensor(images_for(PAIRED, 4 * rows, seed=1)))
+    assert [(n, tid) for n, tid, _ in seen] == [(rows, threading.get_ident())] * 4
+
+
+@pytest.mark.parametrize("lane", [None, 0, 1], ids=["no-error", "nan-in-caller-lane", "nan-in-helper-lane"])
+def test_split_forward_restores_the_blas_thread_count(blas, lane):
+    rows = row_block_size(PAIRED, 4)
+    model = build_model(PAIRED, seed=5).detach()
+    x = images_for(PAIRED, 3 * rows, seed=3)  # a pair, then one block
+    before = blas[0]()
+    if lane is None:
+        forward_logits(model, Tensor(x))
+    else:
+        x[lane * rows] = np.nan  # the first sample of block `lane`
+        with pytest.raises(T.NumericError):
+            forward_logits(model, Tensor(x))
+    assert blas[0]() == before
+
+
+def test_import_starts_no_thread():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sws
+
+    src = str(Path(sws.__file__).resolve().parents[1])
+    code = f"import sys, threading; sys.path.insert(0, {src!r}); import sws.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "1"
