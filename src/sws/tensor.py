@@ -11,9 +11,10 @@ tensors from float64 arrays runs the whole graph in 64-bit mode (the
 finite-difference checks rely on this). Mixing the two in one op is an error
 rather than a silent promotion.
 
-Gradient accumulation is additive: a tensor used at k sites receives the sum
-of the k site-local gradients, and a second ``backward`` call adds on top of
-``grad`` instead of replacing it. Parameter tying elsewhere in the package is
+Gradients land on leaves only (tensors that require grad and were not made
+by an op) and add up: a leaf used at k sites receives the sum of the k
+site-local gradients, and a second ``backward`` call adds on top of ``grad``
+instead of replacing it. Parameter tying elsewhere in the package is
 implemented purely by reusing one Tensor object at several sites and leans on
 this property.
 
@@ -146,7 +147,8 @@ class Graph:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf t: requires grad,
+    no VJP. An op result's gradient is dropped once its VJP has run.
 
     ``loss`` must be scalar. Grads add onto whatever is already stored, so
     call sites zero them (set to None) between steps.
@@ -159,9 +161,9 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(t), None)
         if g is None:
             continue
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
         if t._vjp is None:
+            if t.requires_grad:
+                t.grad = g if t.grad is None else t.grad + g
             continue
         for p, pg in zip(t._parents, t._vjp(g)):
             if pg is None or not p.requires_grad:
@@ -275,7 +277,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"permute: {axes} is not a permutation of axes of shape {a.shape}")
-    inv = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
+    inv = tuple(np.argsort(axes).tolist())
     return Tensor._result(np.transpose(a.data, axes), (a,), lambda g: [np.transpose(g, inv)])
 
 

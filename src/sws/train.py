@@ -26,7 +26,7 @@ from . import tensor as T
 from .data import Dataset, batch_iter
 from .rng import derive_seed
 from .tensor import Tensor, backward
-from .vit import ModelParams, forward_logits, is_int, is_real
+from .vit import ModelParams, forward_logits, is_int, is_real, unique_named
 
 SCHEDULES = ("constant", "cosine")
 
@@ -156,13 +156,7 @@ class AdamW:
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], cfg: TrainConfig):
-        seen: set[int] = set()
-        self.params: list[tuple[str, Tensor]] = []
-        for name, p in named_params:
-            if id(p) in seen:
-                continue
-            seen.add(id(p))
-            self.params.append((name, p))
+        self.params = unique_named(named_params)
         self.cfg = cfg
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for _, p in self.params]

@@ -18,7 +18,7 @@ import importlib.machinery
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -218,14 +218,16 @@ class ModelParams:
 
     def unique_tensors(self) -> list[tuple[str, Tensor]]:
         """Tensors deduplicated by object identity, first name wins."""
-        seen: set[int] = set()
-        out = []
-        for name, t in self.named_tensors():
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            out.append((name, t))
-        return out
+        return unique_named(self.named_tensors())
+
+
+def unique_named(named: Iterable[tuple[str, Tensor]]) -> list[tuple[str, Tensor]]:
+    """(name, tensor) pairs deduplicated by object identity, first name wins,
+    in first-occurrence order (grad clipping sums norms in this order)."""
+    first: dict[int, tuple[str, Tensor]] = {}
+    for name, t in named:
+        first.setdefault(id(t), (name, t))
+    return list(first.values())
 
 
 def count_params(params: ModelParams, unique_only: bool = True) -> int:
@@ -237,28 +239,27 @@ def count_params(params: ModelParams, unique_only: bool = True) -> int:
 # ---- construction -------------------------------------------------------------
 
 
+def _init(name: str, shapes: dict[str, tuple[int, ...]], rng: SplitMix64, dtype) -> Tensor:
+    """The init rule: gains (``*_g``) start at one, biases (``*_b``) at zero,
+    and every other tensor is drawn from ``rng`` as a truncated normal."""
+    shape = shapes[name]
+    if name.endswith("_g"):
+        data = np.ones(shape, dtype=dtype)
+    elif name.endswith("_b"):
+        data = np.zeros(shape, dtype=dtype)
+    else:
+        data = rng.truncated_normal(shape, std=INIT_STD).astype(dtype)
+    return Tensor(data, requires_grad=True)
+
+
 def build_params(cfg: ModelConfig, seed: int, position_to_set: list[int], plan=None, dtype=np.float32) -> ModelParams:
     """Shared builder: allocates max(position_to_set)+1 distinct layer sets and
     places them by position. Untied models map position i to set i.
 
-    Shapes come from ``cfg.shapes()``. Gains (``*_g``) start at one, biases
-    (``*_b``) at zero, and every other tensor is drawn from a truncated
-    normal. Draw order: patch_w, cls_token, pos_embed, then per set qkv_w,
-    out_w, up_w, down_w, then head_w."""
-    rng = SplitMix64(seed)
-    dtype = np.dtype(dtype).type
-    shapes = cfg.shapes()
-
-    def init(name: str) -> Tensor:
-        shape = shapes[name]
-        if name.endswith("_g"):
-            data = np.ones(shape, dtype=dtype)
-        elif name.endswith("_b"):
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            data = rng.truncated_normal(shape, std=INIT_STD).astype(dtype)
-        return Tensor(data, requires_grad=True)
-
+    Shapes come from ``cfg.shapes()`` and values from ``_init``. Draw order:
+    patch_w, cls_token, pos_embed, then per set qkv_w, out_w, up_w, down_w,
+    then head_w."""
+    init = functools.partial(_init, shapes=cfg.shapes(), rng=SplitMix64(seed), dtype=np.dtype(dtype).type)
     # SHARED_FIELDS holds the four embedding fields, then the final norm and head.
     front = {name: init(name) for name in ModelParams.SHARED_FIELDS[:4]}
     sets = [LayerParams(**{name: init(name) for name in LayerParams.FIELDS})
@@ -275,11 +276,9 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 def reinit_head(params: ModelParams, classes: int, seed: int) -> None:
     """Replace the classifier for a new class count, in place."""
     dtype = params.head_w.data.dtype.type
-    rng = SplitMix64(seed)
-    params.head_w = Tensor(rng.truncated_normal((params.cfg.width, classes), std=INIT_STD).astype(dtype),
-                           requires_grad=True)
-    params.head_b = Tensor(np.zeros((classes,), dtype=dtype), requires_grad=True)
     params.cfg = replace(params.cfg, classes=classes)
+    init = functools.partial(_init, shapes=params.cfg.shapes(), rng=SplitMix64(seed), dtype=dtype)
+    params.head_w, params.head_b = init("head_w"), init("head_b")
 
 
 # ---- forward ------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,10 @@ import pytest
 
 import sws
 from sws import tensor as T
+from sws.sharing import balanced_plan, build_aux
 from sws.tensor import Tensor, backward, grad_check
+from sws.train import loss_cls
+from sws.vit import ModelConfig, forward_logits
 
 
 SRC = str(Path(sws.__file__).resolve().parents[1])
@@ -178,6 +182,27 @@ def test_detach_blocks_gradient():
     x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     backward(T.sum_all(T.mul(x.detach(), x)))
     np.testing.assert_allclose(x.grad, x.data)  # only the live side contributes
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    # The README-config tied model: an op result's gradient must not outlive
+    # backward, so what backward leaves behind is the parameter grads alone.
+    cfg = ModelConfig(image_size=12, patch_size=4, channels=1, depth=8, width=32, heads=4, classes=10)
+    model = build_aux(cfg, balanced_plan(8, 4), seed=0)
+    images = Tensor(rnd((64, 1, 12, 12), 1).astype(np.float32))
+    labels = np.arange(64) % 10
+    loss = loss_cls(forward_logits(model, images), labels)
+    param_bytes = sum(t.data.nbytes for _, t in model.unique_tensors())
+    tracemalloc.start()
+    try:
+        backward(loss)
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left <= param_bytes + (64 << 10), (left, param_bytes)
+    assert all(t.grad is None for t in T.Graph.trace(loss).nodes if t._vjp is not None)
+    for name, t in model.unique_tensors():
+        assert t.grad is not None and np.isfinite(t.grad).all(), name
 
 
 def test_graph_trace_orders_parents_first():
