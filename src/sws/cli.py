@@ -92,7 +92,14 @@ def load_config(path, set_flags: list[str] | None = None, seed: int | None = Non
         raise CliError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: top level must be an object")
-    for flag in set_flags or []:
+    _apply_overrides(cfg, set_flags or [])
+    if seed is not None:
+        cfg.setdefault("train", {})["seed"] = seed
+    return cfg
+
+
+def _apply_overrides(cfg: dict, set_flags: list[str]) -> dict:
+    for flag in set_flags:
         node_path, value = _parse_override(flag)
         node = cfg
         for part in node_path[:-1]:
@@ -100,9 +107,48 @@ def load_config(path, set_flags: list[str] | None = None, seed: int | None = Non
             if not isinstance(node, dict):
                 raise CliError(f"--set {flag!r}: {part!r} is not a section")
         node[node_path[-1]] = value
-    if seed is not None:
-        cfg.setdefault("train", {})["seed"] = seed
     return cfg
+
+
+# The keys a config may hold where no dataclass checks them; an unknown key
+# exits 2 rather than being silently dropped. Every data source key is
+# required except data.synthetic.seed.
+_SECTIONS = ("model", "plan", "train", "data")
+_PLAN_KEYS = ("stages", "sizes")
+_SOURCE_KEYS = {"synthetic": ("n", "classes", "size", "seed"), "idx": ("images", "labels")}
+_DATA_KEYS = (*_SOURCE_KEYS, "train_fraction", "split_seed")
+
+
+def _check_keys(where: str, section: dict, allowed: tuple[str, ...]) -> None:
+    unknown = [k for k in section if k not in allowed]
+    if unknown:
+        raise CliError(f"{where}: unknown key {', '.join(map(repr, unknown))} (allowed: {', '.join(allowed)})")
+
+
+def command_config(args) -> dict:
+    """A command's config: the file, then --set and --seed, holding only the
+    known sections."""
+    cfg = load_config(args.config, args.set, args.seed)
+    _check_keys("config", cfg, _SECTIONS)
+    return cfg
+
+
+def check_model_overrides(set_flags: list[str], model_cfg: ModelConfig) -> None:
+    """A --set model.* flag must agree with the loaded checkpoint's config; a
+    command that loads a model never rebuilds it from the config."""
+    flags = _apply_overrides({}, set_flags).get("model")
+    if flags is None:
+        return
+    if not isinstance(flags, dict):
+        raise CliError(f"--set model must be an object, got {flags!r}")
+    try:
+        wanted = ModelConfig(**{**model_cfg.to_dict(), **flags})
+    except TypeError as e:
+        raise CliError(f"--set model: {e}") from None
+    if wanted != model_cfg:
+        differ = [f"model.{k}={v!r}" for k, v in flags.items() if v != getattr(model_cfg, k)]
+        raise CliError(f"--set {', '.join(differ)} disagrees with the checkpoint's model "
+                       f"{json.dumps(model_cfg.to_dict(), separators=(',', ':'))}")
 
 
 def model_config(cfg: dict) -> ModelConfig:
@@ -119,6 +165,9 @@ def plan_from(cfg: dict, depth: int):
     section = cfg.get("plan")
     if not isinstance(section, dict):
         raise CliError("config needs a 'plan' section ({'stages': M} or {'sizes': [...]})")
+    _check_keys("plan", section, _PLAN_KEYS)
+    if len(section) > 1:
+        raise CliError("plan takes 'stages' or 'sizes', not both")
     if "sizes" in section:
         plan = custom_plan(section["sizes"])
         if plan.total_layers != depth:
@@ -143,20 +192,20 @@ def train_config(cfg: dict, **forced) -> TrainConfig:
         raise CliError(f"train section: {e}") from None
 
 
-_DATA_KEYS = {"synthetic": ("n", "classes", "size"), "idx": ("images", "labels")}
-
-
 def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
     section = cfg.get("data")
     if not isinstance(section, dict):
         raise CliError("config needs a 'data' section")
-    kind = next((k for k in _DATA_KEYS if k in section), None)
-    if kind is None:
-        raise CliError("data section needs 'synthetic' or 'idx'")
+    _check_keys("data", section, _DATA_KEYS)
+    kinds = [k for k in _SOURCE_KEYS if k in section]
+    if len(kinds) != 1:
+        raise CliError("data section needs 'synthetic' or 'idx'" + (", not both" if kinds else ""))
+    kind = kinds[0]
     s = section[kind]
     if not isinstance(s, dict):
         raise CliError(f"data.{kind} must be an object")
-    missing = [k for k in _DATA_KEYS[kind] if k not in s]
+    _check_keys(f"data.{kind}", s, _SOURCE_KEYS[kind])
+    missing = [k for k in _SOURCE_KEYS[kind] if k not in s and k != "seed"]
     if missing:
         raise CliError(f"data.{kind} needs {', '.join(map(repr, missing))}")
     if kind == "synthetic":
@@ -164,7 +213,7 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
         if not (is_int(n, 1) and is_int(classes, 1) and is_int(size, 1) and is_int(seed)):
             raise CliError(f"data.synthetic needs positive integers n, classes, size and an integer seed, got {s!r}")
         full = make_synthetic(n, classes, size, seed)
-    elif not all(isinstance(s[k], str) for k in _DATA_KEYS[kind]):
+    elif not all(isinstance(s[k], str) for k in _SOURCE_KEYS[kind]):
         raise CliError(f"data.idx images and labels must be paths, got {s!r}")
     else:
         full = load_idx(s["images"], s["labels"])
@@ -234,7 +283,7 @@ Run = tuple[dict, dict, dict]
 
 
 def cmd_train_teacher(args) -> Run:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = command_config(args)
     mcfg = model_config(cfg)
     tcfg = train_config(cfg, alpha=0.0)  # the teacher trains on labels alone
     train_data, val_data = datasets_from(cfg)
@@ -248,7 +297,7 @@ def cmd_train_teacher(args) -> Run:
 
 
 def cmd_train_aux(args) -> Run:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = command_config(args)
     mcfg = model_config(cfg)
     tcfg = train_config(cfg)
     plan = plan_from(cfg, mcfg.depth)
@@ -286,8 +335,9 @@ def cmd_init_des(args) -> Run:
 
 
 def cmd_finetune(args) -> Run:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = command_config(args)
     model = load_checkpoint(args.checkpoint)
+    check_model_overrides(args.set, model.cfg)
     train_data, val_data = datasets_from(cfg)
     forced = {}
     if not args.teacher_cache and "alpha" not in _train_section(cfg):
@@ -302,8 +352,9 @@ def cmd_finetune(args) -> Run:
 
 
 def cmd_eval(args) -> Run:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = command_config(args)
     model = load_checkpoint(args.checkpoint)
+    check_model_overrides(args.set, model.cfg)
     train_data, val_data = datasets_from(cfg)
     data = {"train": train_data, "val": val_data}[args.split]
     loss, top1 = evaluate(model, data, eval_batch_size(cfg))
@@ -313,7 +364,7 @@ def cmd_eval(args) -> Run:
 
 
 def cmd_sweep_depth(args) -> Run:
-    cfg = load_config(args.config, args.set, args.seed)
+    cfg = command_config(args)
     pack = load_learngene(args.pack)
     vanilla = load_checkpoint(args.vanilla)
     train_data, val_data = datasets_from(cfg)

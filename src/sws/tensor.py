@@ -49,7 +49,8 @@ class NumericError(FloatingPointError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    # __weakref__ lets a test watch a graph being freed without holding it.
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)

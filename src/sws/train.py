@@ -339,6 +339,7 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
             backward(loss)
             opt.step(lr_at(cfg, step, total_steps))
             opt.zero_grad()
+            del logits, t_rows, loss  # frees this step's graph before the next forward builds one
             step += 1
         val_loss, top1 = evaluate(model, val_data, cfg.eval_batch_size)
         metrics.rows.append(EpochRow(epoch, loss_sum / seen, val_loss, top1, time.perf_counter() - t0))

@@ -321,9 +321,14 @@ def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
     in blocks of ``row_block_size`` samples (see ``_row_blocks``) and the
     logits are concatenated in block order, so memory stays bounded however
     large the batch is. Every op treats the samples of a batch independently,
-    so the logits are the same bits as one whole-batch pass. A forward that
-    builds a graph never splits. Not meant to be called from several threads
-    at once: a split forward sets OpenBLAS's process-wide thread count.
+    but the logits need not be the same bits as one whole-batch pass: BLAS
+    may round a small product differently from the same rows of a large one
+    (OpenBLAS, depth-1 width-8 model, 650 images in blocks of 614 + 36: 23
+    rows differ, by up to 1.5e-8). What holds is that a given batch gives
+    the same bits on a given build, and paired blocks the same bits as
+    sequential ones. A forward that builds a graph never splits. Not meant
+    to be called from several threads at once: a split forward sets
+    OpenBLAS's process-wide thread count.
     """
     cfg = params.cfg
     expect = (cfg.channels, cfg.image_size, cfg.image_size)

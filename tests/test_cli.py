@@ -690,3 +690,62 @@ def test_manifest_says_unknown_when_the_blas_lookup_fails(tmp_path, monkeypatch)
     finally:
         vit.openblas_threads.cache_clear()
     assert "blas_threads=unknown" in (out / "manifest.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("plan.foo=1", "plan: unknown key 'foo'"),
+    ("data.bogus=1", "data: unknown key 'bogus'"),
+    ("data.synthetic.nn=5", "data.synthetic: unknown key 'nn'"),
+    ("extra.x=1", "config: unknown key 'extra'"),
+    ("plan.sizes=[1,1]", "plan takes 'stages' or 'sizes', not both"),
+    ('data.idx={"images":"i.idx","labels":"l.idx"}', "needs 'synthetic' or 'idx', not both"),
+])
+def test_exit_2_on_an_unknown_config_key(tmp_path, capsys, override, message):
+    out = tmp_path / "x"
+    assert main(["train-aux", "--config", str(write_config(tmp_path)), "--out", str(out), "--set", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_2_on_an_unknown_idx_key_before_reading_the_files(tmp_path, capsys):
+    cfg = write_idx_config(tmp_path, {"images": str(tmp_path / "none.idx"), "labels": str(tmp_path / "none.idx"),
+                                      "format": "gz"})
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "data.idx: unknown key 'format'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train-teacher", []),
+    ("train-aux", []),
+    ("finetune", ["--checkpoint", "none.sws"]),
+    ("eval", ["--checkpoint", "none.sws"]),
+    ("sweep-depth", ["--pack", "none.sws", "--vanilla", "none.sws", "--depths", "2"]),
+])
+def test_every_config_command_rejects_an_unknown_section(tmp_path, command, flags):
+    # The section check runs before any file is read: exit 2, not 3.
+    out = tmp_path / "x"
+    assert main([command, "--config", str(write_config(tmp_path)), *flags, "--out", str(out),
+                 "--set", "extra.x=1"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("overrides, error", [
+    (["model.depth=5"], "--set model.depth=5 disagrees with the checkpoint's model"),
+    (["model.depth=5", "model.width=64"], "--set model.depth=5, model.width=64 disagrees"),
+    (["model.heads=1"], "--set model.heads=1 disagrees"),
+    (["model.foo=1"], "unexpected keyword argument 'foo'"),
+    (["model.depth=2.0"], "depth must be a positive integer"),
+    (["model.depth=5", "model.depth=2"], None),  # the last flag wins, as in the config
+    (["model.depth=2", "model.mlp_ratio=4"], None),
+], ids=["depth", "depth-and-width", "heads", "unknown-key", "float-depth", "last-wins", "agreeing"])
+def test_a_model_override_must_agree_with_the_checkpoint(tmp_path, capsys, command, overrides, error):
+    ckpt, out = tmp_path / "m.sws", tmp_path / "o"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), ckpt)
+    argv = [command, "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt), "--out", str(out)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == (0 if error is None else 2)
+    assert out.exists() == (error is None)
+    if error:
+        assert error in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -433,6 +434,42 @@ def test_train_model_matches_manual_loop():
         step += 1
     for (n, ta), (_, tm) in zip(auto.named_tensors(), manual.named_tensors()):
         assert np.array_equal(ta.data, tm.data), n
+
+
+@pytest.mark.parametrize("teacher_kind", ["none", "cache", "live"])
+def test_no_step_graph_outlives_its_step(monkeypatch, teacher_kind):
+    # Each step's graph must be freed by reference counting once the step
+    # ends: no later forward, training or evaluation, runs while an earlier
+    # step's loss or logits (and so its graph) is still alive.
+    import sws.train as train
+
+    data = tiny_data(n=40)
+    tr, va = split(data, 0.75, seed=2)
+    teacher = build_model(CFG, seed=9)
+    teacher = {"none": None, "cache": cache_teacher_logits(teacher, tr), "live": teacher}[teacher_kind]
+    cfg = TrainConfig(epochs=2, batch_size=8, alpha=0.0 if teacher is None else 0.5, seed=3)
+    model = build_model(CFG, seed=4)
+    step_logits, finished, forwards = [], [], []
+
+    def checking_forward(params, images):
+        forwards.append(len(finished))
+        assert [r for r in finished if r() is not None] == []
+        out = forward_logits(params, images)
+        if out.requires_grad:
+            step_logits.append(weakref.ref(out))
+        return out
+
+    def recording_backward(loss):
+        backward(loss)
+        finished.extend([weakref.ref(loss), step_logits.pop()])
+
+    monkeypatch.setattr(train, "forward_logits", checking_forward)
+    monkeypatch.setattr(train, "backward", recording_backward)
+    train_model(model, tr, va, cfg, teacher)
+
+    steps = 2 * -(-len(tr) // 8)
+    assert len(finished) == 2 * steps and not step_logits
+    assert forwards.count(0) >= 2 and max(forwards) == 2 * steps  # checked before steps 1.. and the last eval
 
 
 def test_train_model_validations():
