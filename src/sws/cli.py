@@ -133,9 +133,10 @@ def command_config(args) -> dict:
     return cfg
 
 
-def check_model_overrides(set_flags: list[str], model_cfg: ModelConfig) -> None:
-    """A --set model.* flag must agree with the loaded checkpoint's config; a
-    command that loads a model never rebuilds it from the config."""
+def check_model_overrides(set_flags: list[str], model_cfg: ModelConfig, loaded: str) -> None:
+    """A --set model.* flag must agree with the loaded model's config, read
+    from the artifact that ``loaded`` names; a command that loads a model
+    never rebuilds it from the config."""
     flags = _apply_overrides({}, set_flags).get("model")
     if flags is None:
         return
@@ -147,7 +148,7 @@ def check_model_overrides(set_flags: list[str], model_cfg: ModelConfig) -> None:
         raise CliError(f"--set model: {e}") from None
     if wanted != model_cfg:
         differ = [f"model.{k}={v!r}" for k, v in flags.items() if v != getattr(model_cfg, k)]
-        raise CliError(f"--set {', '.join(differ)} disagrees with the checkpoint's model "
+        raise CliError(f"--set {', '.join(differ)} disagrees with the {loaded}'s model "
                        f"{json.dumps(model_cfg.to_dict(), separators=(',', ':'))}")
 
 
@@ -185,9 +186,16 @@ def _train_section(cfg: dict) -> dict:
     return section
 
 
-def train_config(cfg: dict, **forced) -> TrainConfig:
+# What evaluation fills in for a train section that leaves out the keys only
+# training reads; every key the section does give is still checked.
+_EVAL_ONLY = {"epochs": 0, "batch_size": 1}
+
+
+def train_config(cfg: dict, defaults: dict | None = None, **forced) -> TrainConfig:
+    """The train section as a TrainConfig: ``defaults`` fill the keys it leaves
+    out and ``forced`` override the keys it gives."""
     try:
-        return TrainConfig(**{**_train_section(cfg), **forced})
+        return TrainConfig(**{**(defaults or {}), **_train_section(cfg), **forced})
     except TypeError as e:
         raise CliError(f"train section: {e}") from None
 
@@ -222,14 +230,6 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
         raise CliError(f"data.train_fraction must be a number and data.split_seed an integer, "
                        f"got {fraction!r} and {split_seed!r}")
     return split(full, fraction, split_seed)
-
-
-def eval_batch_size(cfg: dict) -> int:
-    """train.eval_batch_size, the one train key evaluation reads."""
-    value = _train_section(cfg).get("eval_batch_size", TrainConfig.eval_batch_size)
-    if not is_int(value, 1):
-        raise CliError(f"train.eval_batch_size must be an integer >= 1, got {value!r}")
-    return value
 
 
 # ---- run directory helpers --------------------------------------------------------
@@ -337,7 +337,7 @@ def cmd_init_des(args) -> Run:
 def cmd_finetune(args) -> Run:
     cfg = command_config(args)
     model = load_checkpoint(args.checkpoint)
-    check_model_overrides(args.set, model.cfg)
+    check_model_overrides(args.set, model.cfg, "checkpoint")
     train_data, val_data = datasets_from(cfg)
     forced = {}
     if not args.teacher_cache and "alpha" not in _train_section(cfg):
@@ -354,10 +354,10 @@ def cmd_finetune(args) -> Run:
 def cmd_eval(args) -> Run:
     cfg = command_config(args)
     model = load_checkpoint(args.checkpoint)
-    check_model_overrides(args.set, model.cfg)
+    check_model_overrides(args.set, model.cfg, "checkpoint")
     train_data, val_data = datasets_from(cfg)
     data = {"train": train_data, "val": val_data}[args.split]
-    loss, top1 = evaluate(model, data, eval_batch_size(cfg))
+    loss, top1 = evaluate(model, data, train_config(cfg, _EVAL_ONLY).eval_batch_size)
     print(_eval_line("eval", loss, top1))
     lines = ["split,loss,top1", f"{args.split},{loss:.6f},{top1:.6f}"]
     return cfg, {"eval.csv": partial(_write_lines, lines)}, {"checkpoint": str(args.checkpoint), "split": args.split}
@@ -366,10 +366,11 @@ def cmd_eval(args) -> Run:
 def cmd_sweep_depth(args) -> Run:
     cfg = command_config(args)
     pack = load_learngene(args.pack)
+    check_model_overrides(args.set, pack.cfg, "learngene pack")
     vanilla = load_checkpoint(args.vanilla)
     train_data, val_data = datasets_from(cfg)
     order = InitOrder.parse(args.order)
-    batch_size = eval_batch_size(cfg)
+    batch_size = train_config(cfg, _EVAL_ONLY).eval_batch_size
     tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs) if args.scratch_epochs > 0 else None
 
     rows = []

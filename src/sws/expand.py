@@ -54,20 +54,9 @@ class InitOrder:
     def fill_sequence(self, num_stages: int) -> list[int]:
         """Stage indices in the order they receive spare layers."""
         edge = math.ceil(num_stages / 3)
-        members = {
-            "front": list(range(min(edge, num_stages))),
-            "last": list(range(max(0, num_stages - edge), num_stages)),
-        }
-        taken = set(members["front"]) | set(members["last"])
-        members["mid"] = [i for i in range(num_stages) if i not in taken]
-        seq: list[int] = []
-        seen: set[int] = set()
-        for group in self.priority:
-            for i in members[group]:
-                if i not in seen:
-                    seen.add(i)
-                    seq.append(i)
-        return seq
+        cut = max(edge, num_stages - edge)
+        members = {"front": range(edge), "mid": range(edge, cut), "last": range(cut, num_stages)}
+        return [i for group in self.priority for i in members[group]]
 
 
 DEFAULT_ORDER = InitOrder()
@@ -107,9 +96,7 @@ def stage_partition(target_depth: int, plan: StagePlan, order: InitOrder = DEFAU
     counts = [max(1, (target_depth * s) // total) for s in plan.stage_sizes]
     seq = order.fill_sequence(m)
     leftover = target_depth - sum(counts)
-    if leftover > 0:
-        if leftover >= m:
-            raise ExpandError(f"internal: leftover {leftover} should be < {m} stages")
+    if leftover > 0:  # fewer than m: each count exceeds target * share - 1
         for i in seq[:leftover]:
             counts[i] += 1
     while leftover < 0:

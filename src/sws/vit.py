@@ -16,7 +16,6 @@ import ctypes
 import functools
 import importlib.machinery
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator
 
@@ -325,10 +324,10 @@ def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
     may round a small product differently from the same rows of a large one
     (OpenBLAS, depth-1 width-8 model, 650 images in blocks of 614 + 36: 23
     rows differ, by up to 1.5e-8). What holds is that a given batch gives
-    the same bits on a given build, and paired blocks the same bits as
-    sequential ones. A forward that builds a graph never splits. Not meant
-    to be called from several threads at once: a split forward sets
-    OpenBLAS's process-wide thread count.
+    the same bits on a given build, and blocks run in two lanes the same
+    bits as blocks run in one. A forward that builds a graph never splits.
+    Not meant to be called from several threads at once: a split forward
+    sets OpenBLAS's process-wide thread count.
     """
     cfg = params.cfg
     expect = (cfg.channels, cfg.image_size, cfg.image_size)
@@ -343,28 +342,34 @@ def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
 
 
 def _row_blocks(params: ModelParams, blocks: list[Tensor]) -> list[np.ndarray]:
-    """Each block's logits, in order, run in pairs: the calling thread runs
-    block 2k while the helper thread runs block 2k + 1. OpenBLAS is held to
-    one thread meanwhile, so the two lanes do not compete for the cores with
-    its own threads. The blocks run one after another instead when there
-    are two or fewer (a pair of uneven blocks gains little and a second
-    thread costs its own heap), when the process may use only one CPU, or
-    without OpenBLAS's thread controls. If a block raises, the other lane's
-    block is waited for and the thread count restored before the error
-    propagates."""
+    """Each block's logits, in order, run in two halves: the helper thread
+    runs the second half, ``blocks[len(blocks) // 2:]``, while the calling
+    thread runs the first. OpenBLAS is held to one thread meanwhile, so the
+    two lanes do not compete for the cores with its own threads. The blocks
+    run one after another instead when there are two or fewer (two uneven
+    blocks gain little and a second thread costs its own heap), when the
+    process may use only one CPU, or without OpenBLAS's thread controls. If
+    a block raises, the other half is waited for and the thread count
+    restored before the error propagates."""
+    def run(part):
+        return [_logits(params, b).data for b in part]
+
     blas = openblas_threads() if len(blocks) > 2 and _usable_cpus() > 1 else None
-    lanes = 1 if blas is None else 2
-    out = []
-    with _one_blas_thread(blas):
-        for k in range(0, len(blocks), lanes):
-            side = [_helper().submit(_logits, params, b) for b in blocks[k + 1:k + lanes]]
-            try:
-                out.append(_logits(params, blocks[k]).data)
-            finally:
-                for f in side:
-                    f.exception()  # waits; the result is read below
-            out.extend(f.result().data for f in side)
-    return out
+    if blas is None:
+        return run(blocks)
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        half = len(blocks) // 2
+        side = _helper().submit(run, blocks[half:])
+        try:
+            out = run(blocks[:half])
+        finally:
+            side.exception()  # waits; the result is read below
+        return out + side.result()
+    finally:
+        set_(before)
 
 
 @functools.cache
@@ -405,22 +410,6 @@ def openblas_threads():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
     return None
-
-
-@contextmanager
-def _one_blas_thread(blas):
-    """OpenBLAS held to one thread inside the block, its count restored after;
-    nothing when ``blas`` is None."""
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def row_block_size(cfg: ModelConfig, itemsize: int) -> int:

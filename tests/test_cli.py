@@ -227,9 +227,26 @@ def test_set_override_reaches_training(tmp_path):
 # ---- exit codes -----------------------------------------------------------------
 
 
-def test_exit_2_on_bad_config(tmp_path):
-    cfg = write_config(tmp_path, plan={"sizes": [1, 2]})  # sums to 3, depth is 2
+def write_plan_config(tmp_path, plan):
+    """BASE with its plan section replaced, not merged into {"stages": 2}."""
+    raw = json.loads(json.dumps(BASE))
+    raw["plan"] = plan
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_exit_2_on_bad_config(tmp_path, capsys):
+    cfg = write_plan_config(tmp_path, {"sizes": [1, 2]})
     assert main(["train-aux", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "plan sizes sum to 3, model depth is 2" in capsys.readouterr().err
+
+
+def test_train_aux_takes_plan_sizes(tmp_path):
+    out = tmp_path / "a"
+    assert main(["train-aux", "--config", str(write_plan_config(tmp_path, {"sizes": [1, 1]})),
+                 "--out", str(out)]) == 0
+    assert load_checkpoint(out / "aux.sws").plan.stage_sizes == (1, 1)
 
 
 def test_exit_2_when_aux_lacks_teacher(tmp_path):
@@ -353,18 +370,20 @@ def test_exit_5_message_names_the_problem(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("plan", [
-    pytest.param({"sizes": [1.5, 1.5]}, id="float-sizes"),
-    pytest.param({"sizes": [True, 1]}, id="bool-size"),
-    pytest.param({"sizes": [1.0, 1.0]}, id="integral-float-sizes"),
-    pytest.param({"sizes": 2}, id="sizes-not-a-list"),
-    pytest.param({"stages": 1.5}, id="float-stages"),
-    pytest.param({"stages": True}, id="bool-stages"),
-    pytest.param({"stages": "two"}, id="string-stages"),
+@pytest.mark.parametrize("plan, message", [
+    pytest.param({"sizes": [1.5, 1.5]}, "stage sizes must be positive integers, got (1.5, 1.5)", id="float-sizes"),
+    pytest.param({"sizes": [True, 1]}, "stage sizes must be positive integers, got (True, 1)", id="bool-size"),
+    pytest.param({"sizes": [1.0, 1.0]}, "stage sizes must be positive integers, got (1.0, 1.0)",
+                 id="integral-float-sizes"),
+    pytest.param({"sizes": 2}, "stage sizes must be a list of positive integers, got 2", id="sizes-not-a-list"),
+    pytest.param({"stages": 1.5}, "stage count must be a positive integer, got 1.5", id="float-stages"),
+    pytest.param({"stages": True}, "stage count must be a positive integer, got True", id="bool-stages"),
+    pytest.param({"stages": "two"}, "stage count must be a positive integer, got 'two'", id="string-stages"),
 ])
-def test_exit_2_on_non_integer_plan(tmp_path, plan):
-    cfg = write_config(tmp_path, plan=plan)
+def test_exit_2_on_non_integer_plan(tmp_path, capsys, plan, message):
+    cfg = write_plan_config(tmp_path, plan)
     assert main(["train-aux", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, plan", [
@@ -749,3 +768,35 @@ def test_a_model_override_must_agree_with_the_checkpoint(tmp_path, capsys, comma
     assert out.exists() == (error is None)
     if error:
         assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, error", [
+    (["model.depth=5"], "--set model.depth=5 disagrees with the learngene pack's model"),
+    (["model.width=64"], "--set model.width=64 disagrees with the learngene pack's model"),
+    (["model.depth=2", "model.width=8"], None),
+], ids=["depth", "width", "agreeing"])
+def test_a_model_override_must_agree_with_the_sweep_pack(tmp_path, capsys, overrides, error):
+    pack, vanilla, out = tmp_path / "g.sws", tmp_path / "v.sws", tmp_path / "s"
+    _save_pack(pack)
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), vanilla)
+    argv = ["sweep-depth", "--config", str(write_config(tmp_path)), "--pack", str(pack), "--vanilla", str(vanilla),
+            "--depths", "2,3", "--out", str(out)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == (0 if error is None else 2)
+    assert out.exists() == (error is None)
+    if error:
+        assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-depth"])
+def test_an_evaluating_command_checks_the_whole_train_section(tmp_path, capsys, command):
+    ckpt, pack, out = tmp_path / "m.sws", tmp_path / "g.sws", tmp_path / "o"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), ckpt)
+    _save_pack(pack)
+    flags = {"eval": ["--checkpoint", str(ckpt)],
+             "sweep-depth": ["--pack", str(pack), "--vanilla", str(ckpt), "--depths", "2"]}[command]
+    assert main([command, "--config", str(write_config(tmp_path)), *flags, "--out", str(out),
+                 "--set", "train.lr=-1"]) == 2
+    assert "lr must be > 0, got -1" in capsys.readouterr().err
+    assert not out.exists()

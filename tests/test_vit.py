@@ -362,7 +362,7 @@ PAIRED = ModelConfig(image_size=16, patch_size=4, channels=1, depth=2, width=128
 @pytest.fixture
 def blas(monkeypatch):
     """The (get, set) pair a split forward will use: OpenBLAS's own when numpy
-    exposes it, a stand-in otherwise, with two usable CPUs, so the pairs
+    exposes it, a stand-in otherwise, with two usable CPUs, so the two lanes
     always run."""
     import sws.vit as vit
 
@@ -397,7 +397,7 @@ def test_paired_row_blocks_equal_sequential_blocks_and_a_graph_pass(monkeypatch,
 
     model = build_model(PAIRED, seed=5)
     rows = row_block_size(PAIRED, 4)
-    x = images_for(PAIRED, 4 * rows + 3, seed=2)  # five blocks: two pairs, then one block alone
+    x = images_for(PAIRED, 4 * rows + 3, seed=2)  # five blocks: two in the caller, three in the helper
     graph = forward_logits(model, Tensor(x)).data
     sequential = np.concatenate([vit._logits(model.detach(), Tensor(x[i:i + rows])).data
                                  for i in range(0, len(x), rows)])
@@ -422,6 +422,36 @@ def test_paired_row_blocks_use_the_helper_thread_with_blas_held_to_one(monkeypat
     assert len(seen) == 3 and len(threads) == 2 and threading.get_ident() in threads
     assert [threads for _, _, threads in seen] == [1, 1, 1]
     assert blas[0]() == before
+
+
+def test_the_helper_thread_runs_the_second_half_from_one_hand_off_per_batch(monkeypatch, blas):
+    import threading
+    import types
+
+    import sws.vit as vit
+
+    pool, submits = vit._helper(), []
+
+    def submit(*args):
+        submits.append(args)
+        return pool.submit(*args)
+    monkeypatch.setattr(vit, "_helper", lambda: types.SimpleNamespace(submit=submit))
+    rows = row_block_size(PAIRED, 4)
+    x = images_for(PAIRED, 4 * rows + 3, seed=4)  # five blocks
+    model = build_model(PAIRED, seed=5).detach()
+    ran, logits = [], vit._logits
+
+    def spy(params, images):
+        block = next(k for k in range(5) if np.shares_memory(images.data, x[k * rows:(k + 1) * rows]))
+        ran.append((block, threading.get_ident()))
+        return logits(params, images)
+    monkeypatch.setattr(vit, "_logits", spy)
+    for batch in (1, 2):
+        ran.clear()
+        forward_logits(model, Tensor(x))
+        assert len(submits) == batch
+        assert sorted(k for k, tid in ran if tid != threading.get_ident()) == [2, 3, 4]
+        assert sorted(k for k, _ in ran) == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("blocks, cpus", [(2, 2), (4, 1)], ids=["two-blocks", "one-cpu"])
@@ -475,7 +505,7 @@ def test_a_failed_blas_lookup_runs_the_blocks_in_sequence(monkeypatch, fresh_loo
 def test_split_forward_restores_the_blas_thread_count(blas, lane):
     rows = row_block_size(PAIRED, 4)
     model = build_model(PAIRED, seed=5).detach()
-    x = images_for(PAIRED, 3 * rows, seed=3)  # a pair, then one block
+    x = images_for(PAIRED, 3 * rows, seed=3)  # block 0 in the caller, blocks 1 and 2 in the helper
     before = blas[0]()
     if lane is None:
         forward_logits(model, Tensor(x))
