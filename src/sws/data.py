@@ -34,6 +34,7 @@ step is h' = (h ^ b) * P mod 2**64. Per chunk:
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -194,6 +195,29 @@ def make_synthetic(n: int, classes: int, size: int, seed: int) -> Dataset:
 # ---- IDX loading ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class IdxFiles:
+    """An IDX image/label file pair whose headers and sizes have been checked:
+    ``count`` images of ``rows`` x ``cols`` uint8 pixels, one uint8 label each."""
+    images_path: object
+    labels_path: object
+    count: int
+    rows: int
+    cols: int
+    images_at: int  # payload offsets
+    labels_at: int
+
+    @property
+    def source(self) -> str:
+        return f"idx({self.images_path},{self.labels_path})"
+
+
+def _head(path, ndims: int) -> tuple[bytes, int]:
+    """The first bytes of an IDX file, as many as its header takes, and the file's size."""
+    with open(path, "rb") as fh:
+        return fh.read(4 + 4 * ndims), os.fstat(fh.fileno()).st_size
+
+
 def _read_idx_header(raw: bytes, path, magic_want: int, ndims: int) -> tuple[tuple[int, ...], int]:
     head = 4 + 4 * ndims
     if len(raw) < head:
@@ -205,51 +229,98 @@ def _read_idx_header(raw: bytes, path, magic_want: int, ndims: int) -> tuple[tup
     return dims, head
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label file pair, scaling pixels to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        raw_img = fh.read()
-    with open(labels_path, "rb") as fh:
-        raw_lab = fh.read()
-
+def check_idx(images_path, labels_path) -> IdxFiles:
+    """Check an IDX image/label file pair from its headers and file sizes,
+    reading no pixels."""
+    raw_img, size = _head(images_path, 3)
+    raw_lab, lab_size = _head(labels_path, 1)
     (n, h, w), off = _read_idx_header(raw_img, images_path, IDX_IMAGES_MAGIC, 3)
-    if len(raw_img) != off + n * h * w:
-        raise IdxFormatError(f"{images_path}: payload is {len(raw_img) - off} bytes, expected {n * h * w}")
+    if size != off + n * h * w:
+        raise IdxFormatError(f"{images_path}: payload is {size - off} bytes, expected {n * h * w}")
     (n_lab,), lab_off = _read_idx_header(raw_lab, labels_path, IDX_LABELS_MAGIC, 1)
-    if len(raw_lab) != lab_off + n_lab:
-        raise IdxFormatError(f"{labels_path}: payload is {len(raw_lab) - lab_off} bytes, expected {n_lab}")
+    if lab_size != lab_off + n_lab:
+        raise IdxFormatError(f"{labels_path}: payload is {lab_size - lab_off} bytes, expected {n_lab}")
     if n != n_lab:
         raise IdxFormatError(f"count mismatch: {n} images vs {n_lab} labels")
     if n == 0:
         raise IdxFormatError(f"{images_path}: holds no images")
+    return IdxFiles(images_path, labels_path, n, h, w, off, lab_off)
 
-    images = np.frombuffer(raw_img, dtype=np.uint8, offset=off).reshape(n, 1, h, w).astype(np.float32)
-    images /= np.float32(255.0)  # in place: one float32 copy of the file, not two
-    labels = np.frombuffer(raw_lab, dtype=np.uint8, offset=lab_off).astype(np.int64)
-    classes = int(labels.max()) + 1
-    return Dataset(images=images, labels=labels, num_classes=classes,
-                   source=f"idx({images_path},{labels_path})")
+
+def _read_payload(path, offset: int, nbytes: int) -> np.ndarray:
+    """nbytes of path from offset, read straight into a uint8 array."""
+    out = np.empty(nbytes, np.uint8)
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        got = fh.readinto(out)
+    if got != nbytes:  # the file shrank since it was checked
+        raise IdxFormatError(f"{path}: payload is {got} bytes, expected {nbytes}")
+    return out
+
+
+def _read_idx(files: IdxFiles) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels as uint8 (N, 1, H, W) and the labels as int64."""
+    n, h, w = files.count, files.rows, files.cols
+    pixels = _read_payload(files.images_path, files.images_at, n * h * w).reshape(n, 1, h, w)
+    labels = _read_payload(files.labels_path, files.labels_at, n).astype(np.int64)
+    return pixels, labels
+
+
+def _scaled(pixels: np.ndarray) -> np.ndarray:
+    images = pixels.astype(np.float32)
+    images /= np.float32(255.0)  # in place: one float32 copy, not two
+    return images
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Read an IDX image/label file pair, scaling pixels to [0, 1]."""
+    files = check_idx(images_path, labels_path)
+    pixels, labels = _read_idx(files)
+    return Dataset(images=_scaled(pixels), labels=labels, num_classes=int(labels.max()) + 1,
+                   source=files.source)
 
 
 # ---- splits and batches ----------------------------------------------------------
 
 
-def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded permutation, then a prefix/suffix split. Both sides non-empty."""
+def _split_order(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, val) indices of a split of n samples. Both sides non-empty."""
     if not (0.0 < train_fraction < 1.0):
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(data)
     k = int(n * train_fraction)
     if k < 1 or n - k < 1:
         raise DataError(f"split of {n} samples at {train_fraction} leaves an empty side")
     perm = SplitMix64(seed).permutation(n)
-    tr, va = perm[:k], perm[k:]
+    return perm[:k], perm[k:]
+
+
+def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded permutation, then a prefix/suffix split. Both sides non-empty."""
+    tr, va = _split_order(len(data), train_fraction, seed)
 
     def take(idx: np.ndarray, tag: str) -> Dataset:
         return Dataset(images=np.ascontiguousarray(data.images[idx]),
                        labels=np.ascontiguousarray(data.labels[idx]),
                        num_classes=data.num_classes,
                        source=f"{data.source}/{tag}")
+
+    return take(tr, "train"), take(va, "val")
+
+
+def split_idx(files: IdxFiles, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """``split(load_idx(...), train_fraction, seed)`` bit for bit, reading each
+    byte once: each side gathers its uint8 rows, the file's pixels are dropped,
+    and only then is each side scaled to float32. Scaling is elementwise, so
+    the order does not change a bit."""
+    tr, va = _split_order(files.count, train_fraction, seed)
+    pixels, labels = _read_idx(files)
+    rows = {"train": pixels[tr], "val": pixels[va]}
+    del pixels
+    classes = int(labels.max()) + 1
+
+    def take(idx: np.ndarray, tag: str) -> Dataset:
+        return Dataset(images=_scaled(rows.pop(tag)), labels=labels[idx], num_classes=classes,
+                       source=f"{files.source}/{tag}")
 
     return take(tr, "train"), take(va, "val")
 
@@ -266,4 +337,5 @@ def batch_iter(data: Dataset, batch_size: int, shuffle_seed: int | None = None):
     order = np.arange(n, dtype=np.int64) if shuffle_seed is None else SplitMix64(shuffle_seed).permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
-        yield data.images[idx], data.labels[idx], idx
+        rows = idx if shuffle_seed is not None else slice(start, start + batch_size)  # a slice gives views
+        yield data.images[rows], data.labels[rows], idx

@@ -120,9 +120,8 @@ def save(path, kind: str, tensors: "Mapping[str, np.ndarray] | Iterable[tuple[st
             pos = 0
             for entry in index:
                 fh.write(b"\x00" * (entry["offset"] - pos))
-                raw = arrays[entry["name"]].tobytes()
-                fh.write(raw)
-                pos = entry["offset"] + len(raw)
+                fh.write(arrays[entry["name"]])  # the array's own buffer: C order, little-endian
+                pos = entry["offset"] + entry["length"]
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -131,58 +130,69 @@ def save(path, kind: str, tensors: "Mapping[str, np.ndarray] | Iterable[tuple[st
 
 
 def load(path, expected_kind: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and meta of a container, each tensor read straight into its
+    own array. The header and every index entry are checked against the file's
+    size before any tensor is allocated, so a header that lies cannot make a
+    load allocate more than the file holds."""
     if expected_kind not in KINDS:
         raise ValueError(f"expected_kind must be one of {KINDS}, got {expected_kind!r}")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise TruncatedError(f"{path}: {len(raw)} bytes is too short for the magic")
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: magic {raw[:4]!r}, expected {MAGIC!r}")
-    if len(raw) < 4 + _HEAD.size:
-        raise TruncatedError(f"{path}: truncated before the header fields")
-    version, hlen = _HEAD.unpack_from(raw, 4)
-    if version != VERSION:
-        raise VersionError(f"{path}: format version {version}, this build reads {VERSION}")
-    payload_at = 4 + _HEAD.size + hlen
-    if len(raw) < payload_at:
-        raise TruncatedError(f"{path}: header claims {hlen} bytes, file ends early")
-    try:
-        header = json.loads(raw[4 + _HEAD.size:payload_at].decode("utf-8"))  # UnicodeDecodeError is a ValueError
-    except ValueError as e:
-        raise HeaderError(f"{path}: undecodable header: {e}") from None
-    if not (isinstance(header, dict) and header.keys() >= {"kind", "meta", "tensors"}
-            and isinstance(header["tensors"], list)):
-        raise HeaderError(f"{path}: header is not an object with 'kind', 'meta' and a 'tensors' list")
-    kind, meta, index = header["kind"], header["meta"], header["tensors"]
-    if kind != expected_kind:
-        raise KindError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
+        size = os.fstat(fh.fileno()).st_size
+        if size < 4:
+            raise TruncatedError(f"{path}: {size} bytes is too short for the magic")
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: magic {magic!r}, expected {MAGIC!r}")
+        if size < 4 + _HEAD.size:
+            raise TruncatedError(f"{path}: truncated before the header fields")
+        version, hlen = _HEAD.unpack(fh.read(_HEAD.size))
+        if version != VERSION:
+            raise VersionError(f"{path}: format version {version}, this build reads {VERSION}")
+        payload_at = 4 + _HEAD.size + hlen
+        if size < payload_at:
+            raise TruncatedError(f"{path}: header claims {hlen} bytes, file ends early")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))  # UnicodeDecodeError is a ValueError
+        except ValueError as e:
+            raise HeaderError(f"{path}: undecodable header: {e}") from None
+        if not (isinstance(header, dict) and header.keys() >= {"kind", "meta", "tensors"}
+                and isinstance(header["tensors"], list)):
+            raise HeaderError(f"{path}: header is not an object with 'kind', 'meta' and a 'tensors' list")
+        kind, meta, index = header["kind"], header["meta"], header["tensors"]
+        if kind != expected_kind:
+            raise KindError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
 
-    spans = []
-    out: dict[str, np.ndarray] = {}
-    for entry in index:
-        try:
-            name, shape, off, length = entry["name"], tuple(entry["shape"]), entry["offset"], entry["length"]
-        except (KeyError, TypeError):
-            raise HeaderError(f"{path}: malformed index entry {entry!r}") from None
-        if not (isinstance(name, str) and all(is_int(v, 0) for v in (*shape, off, length))) or name in out:
-            raise HeaderError(f"{path}: malformed or repeated index entry {entry!r}")
-        if length != math.prod(shape) * 4 or off % 8 != 0:
-            raise HeaderError(f"{path}: entry {name!r} has offset {off}, length {length}, shape {shape}")
-        if payload_at + off + length > len(raw):
-            raise TruncatedError(f"{path}: tensor {name!r} extends past end of file")
-        spans.append((off, off + length, name))
-        arr = np.frombuffer(raw, dtype="<f4", count=length // 4, offset=payload_at + off)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{path}: tensor {name!r} has non-finite values")
-        try:
-            out[name] = arr.reshape(shape).copy()
-        except ValueError:  # more than 64 axes, or a zero-size shape too large for numpy
-            raise HeaderError(f"{path}: entry {name!r} has shape {shape}") from None
-    spans.sort()
-    for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
-        if b0 < a1:
-            raise OverlapError(f"{path}: tensors {an!r} and {bn!r} overlap")
+        entries: dict[str, tuple[tuple, int, int]] = {}  # name: shape, offset, length
+        for entry in index:
+            try:
+                name, shape, off, length = entry["name"], tuple(entry["shape"]), entry["offset"], entry["length"]
+            except (KeyError, TypeError):
+                raise HeaderError(f"{path}: malformed index entry {entry!r}") from None
+            if not (isinstance(name, str) and all(is_int(v, 0) for v in (*shape, off, length))) or name in entries:
+                raise HeaderError(f"{path}: malformed or repeated index entry {entry!r}")
+            if length != math.prod(shape) * 4 or off % 8 != 0:
+                raise HeaderError(f"{path}: entry {name!r} has offset {off}, length {length}, shape {shape}")
+            if payload_at + off + length > size:
+                raise TruncatedError(f"{path}: tensor {name!r} extends past end of file")
+            try:
+                np.broadcast_to(np.float32(0), shape)  # a view: np.empty's shape check, nothing allocated
+            except ValueError:  # more than 64 axes, or a zero-size shape too large for numpy
+                raise HeaderError(f"{path}: entry {name!r} has shape {shape}") from None
+            entries[name] = shape, off, length
+        spans = sorted((off, off + length, name) for name, (_, off, length) in entries.items())
+        for (a0, a1, an), (b0, _, bn) in zip(spans, spans[1:]):
+            if b0 < a1:
+                raise OverlapError(f"{path}: tensors {an!r} and {bn!r} overlap")
+
+        out: dict[str, np.ndarray] = {}
+        for name, (shape, off, length) in entries.items():
+            arr = np.empty(shape, "<f4")
+            fh.seek(payload_at + off)
+            if fh.readinto(arr) != length:  # the file shrank since its size was read
+                raise TruncatedError(f"{path}: tensor {name!r} extends past end of file")
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"{path}: tensor {name!r} has non-finite values")
+            out[name] = arr
     return out, meta
 
 

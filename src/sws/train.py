@@ -228,7 +228,8 @@ def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 
     rows = []
     for images, _, _ in batch_iter(data, batch_size):
         rows.append(forward_logits(teacher, Tensor(images)).data)
-    return LogitCache(logits=np.concatenate(rows, axis=0).astype(np.float32), dataset_hash=data.content_hash)
+    logits = np.concatenate(rows, axis=0).astype(np.float32, copy=False)
+    return LogitCache(logits=logits, dataset_hash=data.content_hash)
 
 
 def _teacher_rows(teacher, images: np.ndarray, idx: np.ndarray) -> Tensor:

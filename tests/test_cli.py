@@ -733,6 +733,25 @@ def test_exit_2_on_an_unknown_idx_key_before_reading_the_files(tmp_path, capsys)
     assert "data.idx: unknown key 'format'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("good_file, fraction, message", [
+    (False, "x", "bad magic 0x00000999"),
+    (True, "x", "data.train_fraction must be a number"),
+    (True, 1.5, "train_fraction must be in (0, 1), got 1.5"),
+], ids=["bad-magic-before-bad-type", "bad-type", "out-of-range"])
+def test_idx_data_exit_codes_keep_their_order(tmp_path, capsys, good_file, fraction, message):
+    # The IDX files are checked before train_fraction's type, and its range after both.
+    cfg = _bad_idx_config(tmp_path)
+    if good_file:  # valid files on the same paths: four 8 x 8 images, labels 0, 1, 2, 0
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        img.write_bytes(b"\x00\x00\x08\x03" + (4).to_bytes(4, "big") + (8).to_bytes(4, "big") * 2 + bytes(256))
+        lab.write_bytes(b"\x00\x00\x08\x01" + (4).to_bytes(4, "big") + bytes([0, 1, 2, 0]))
+    out = tmp_path / "x"
+    code = main(["train-teacher", "--config", str(cfg), "--out", str(out), "--set", f"data.train_fraction={fraction}"])
+    assert code == (2 if good_file else 4)
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("train-teacher", []),
     ("train-aux", []),
