@@ -28,15 +28,16 @@ import numpy as np
 from . import __version__
 from .data import Dataset, IdxFormatError, check_idx, fnv1a64, make_synthetic, split, split_idx
 from .data import load_idx  # noqa: F401 -- perfbench/tracer.py patches sws.cli.load_idx
-from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, init_descendant, simple_lg_expand,
-                     write_assignment_csv)
+from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, expansion, init_descendant,
+                     pack_from_vanilla, write_assignment_csv)
+from .expand import simple_lg_expand  # noqa: F401 -- perfbench/tracer.py patches sws.cli.simple_lg_expand
 from .sharing import balanced_plan, build_aux, custom_plan, extract_learngene
 from .store import (StoreError, load_checkpoint, load_learngene, load_logit_cache, save_checkpoint,
                     save_learngene, save_logit_cache)
 from .tensor import NumericError
 from .train import (DivergenceError, StaleCacheError, TrainConfig, cache_teacher_logits, evaluate,
                     train_model)
-from .vit import ModelConfig, build_model, count_params, is_int, is_real, openblas_threads
+from .vit import MAX_SIZE, ModelConfig, build_model, count_params, is_int, is_real, is_size, openblas_threads
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -219,8 +220,12 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
         raise CliError(f"data.{kind} needs {', '.join(map(repr, missing))}")
     if kind == "synthetic":
         n, classes, size, seed = s["n"], s["classes"], s["size"], s.get("seed", 0)
-        if not (is_int(n, 1) and is_int(classes, 1) and is_int(size, 1) and is_int(seed)):
-            raise CliError(f"data.synthetic needs positive integers n, classes, size and an integer seed, got {s!r}")
+        for key in ("n", "classes", "size"):
+            if not is_size(s[key]):
+                raise CliError(f"data.synthetic.{key} must be a positive integer no larger than {MAX_SIZE}, "
+                               f"got {s[key]!r}")
+        if not is_int(seed):
+            raise CliError(f"data.synthetic.seed must be an integer, got {seed!r}")
         full = make_synthetic(n, classes, size, seed)
     elif not all(isinstance(s[k], str) for k in _SOURCE_KEYS[kind]):
         raise CliError(f"data.idx images and labels must be paths, got {s!r}")
@@ -238,11 +243,11 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
 # ---- run directory helpers --------------------------------------------------------
 
 
-def _write_manifest(outdir: Path, command: str, resolved: dict, artifacts: list[str],
+def _write_manifest(outdir: Path, command: str, argv: list[str], resolved: dict, artifacts: list[str],
                     extra: dict, started: float) -> None:
     lines = [
         f"command={command}",
-        f"argv={' '.join(sys.argv[1:])}",
+        f"argv={' '.join(argv)}",
         f"package_version={__version__}",
         f"config={json.dumps(resolved, sort_keys=True, separators=(',', ':'))}",
         *_environment(),
@@ -370,22 +375,21 @@ def cmd_sweep_depth(args) -> Run:
     cfg = command_config(args)
     pack = load_learngene(args.pack)
     check_model_overrides(args.set, pack.cfg, "learngene pack")
-    vanilla = load_checkpoint(args.vanilla)
+    vanilla = pack_from_vanilla(load_checkpoint(args.vanilla))
     train_data, val_data = datasets_from(cfg)
     order = InitOrder.parse(args.order)
     batch_size = train_config(cfg, _EVAL_ONLY).eval_batch_size
     tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs) if args.scratch_epochs > 0 else None
 
+    # Each expansion is evaluated as a view of its pack, so no parameter is
+    # copied; params counts every position, as the owned descendant holds.
     rows = []
     for depth in args.depths:
         spec = DescendantSpec(depth=depth, strategy=args.strategy, order=order, seed=args.des_seed)
-        des, _ = init_descendant(pack, spec)
-        loss, top1 = evaluate(des, val_data, batch_size)
-        rows.append((depth, count_params(des), "sws", loss, top1))
-
-        simple, _ = simple_lg_expand(vanilla, spec)
-        loss, top1 = evaluate(simple, val_data, batch_size)
-        rows.append((depth, count_params(simple), "simple_lg", loss, top1))
+        for method, source in (("sws", pack), ("simple_lg", vanilla)):
+            view, _ = expansion(source, spec)
+            loss, top1 = evaluate(view, val_data, batch_size)
+            rows.append((depth, count_params(view, unique_only=False), method, loss, top1))
 
         if tcfg is not None:
             scratch_cfg = replace(tcfg, seed=tcfg.seed + depth)
@@ -491,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
@@ -499,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, write in writers.items():
             write(out / name)
-        _write_manifest(out, args.command, resolved, list(writers), extra, started)
+        _write_manifest(out, args.command, argv, resolved, list(writers), extra, started)
     except Exception as e:
         code = next((code for kinds, code in _EXIT_CODES if isinstance(e, kinds)), EXIT_UNEXPECTED)
         prefix = "error" if code != EXIT_UNEXPECTED else f"unexpected error: {type(e).__name__}"

@@ -6,8 +6,11 @@ a fresh copy of its stage's layer set. At the source depth this reproduces
 the auxiliary network exactly. Two other strategies exist for comparisons,
 a round-robin interleaving and a seeded random pick per position.
 
-Descendants are always fully untied: every position owns its copies, so
-fine-tuning can specialize positions independently.
+An expansion is a view of the pack: each position holds the pack's own stage
+set, and the shared tensors are the pack's, so a model of any depth costs no
+parameter copies. Evaluating views is how ``sweep-depth`` compares depths.
+A descendant is the owned copy of that view: every position owns its
+tensors, so fine-tuning can specialize positions independently.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .rng import SplitMix64
-from .sharing import LearngenePack, StagePlan, custom_plan, extract_learngene
-from .vit import ModelParams, is_int, reinit_head
+from .sharing import LearngenePack, StagePlan, custom_plan
+from .vit import MAX_SIZE, ModelParams, is_int, is_size, reinit_head
 
 GROUPS = ("front", "mid", "last")
 STRATEGIES = ("cyclic-contiguous", "cyclic-roundrobin", "random")
@@ -71,8 +74,8 @@ class DescendantSpec:
     classes: int | None = None  # None keeps the pack's class count
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ExpandError(f"descendant depth must be >= 1, got {self.depth}")
+        if not is_size(self.depth):
+            raise ExpandError(f"descendant depth must be an integer from 1 to {MAX_SIZE}, got {self.depth!r}")
         if self.strategy not in STRATEGIES:
             raise ExpandError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if not (self.classes is None or is_int(self.classes, 1)):
@@ -147,21 +150,32 @@ def write_assignment_csv(report: list[tuple[int, int]], path) -> None:
 # ---- descendant construction -------------------------------------------------------
 
 
-def init_descendant(pack: LearngenePack, spec: DescendantSpec) -> tuple[ModelParams, list[tuple[int, int]]]:
-    """Build an untied model of spec.depth from the pack.
+def expansion(pack: LearngenePack, spec: DescendantSpec) -> tuple[ModelParams, list[tuple[int, int]]]:
+    """A model of spec.depth that is a view of the pack, copying nothing.
 
-    Shared components (patch embedding, class token, positional embedding,
-    final norm) are copied as-is. The head is copied when the class counts
-    match and reinitialized from spec.seed otherwise. Every layer position
-    receives its own deep copy of the assigned stage set.
+    Each position holds the pack's own stage set, and the shared components
+    (patch embedding, class token, positional embedding, final norm, head)
+    are the pack's tensors. When spec.classes differs from the pack's, the
+    view gets a new head drawn from spec.seed; the pack itself is never
+    written. The view has no plan: its aliasing follows the assignment, not
+    a contiguous stage plan. Training it would train the pack.
     """
     assignment = assignment_for(pack.plan, spec)
     sets = pack.layer_sets
-    params = pack.clone([sets[m] for m in assignment])
+    shared = {name: getattr(pack, name) for name in ModelParams.SHARED_FIELDS}
+    view = ModelParams(cfg=replace(pack.cfg, depth=spec.depth), layers=[sets[m] for m in assignment], **shared)
     classes = spec.classes if spec.classes is not None else pack.cfg.classes
     if classes != pack.cfg.classes:
-        reinit_head(params, classes, spec.seed)
-    return params, assignment_report(assignment)
+        reinit_head(view, classes, spec.seed)
+    return view, assignment_report(assignment)
+
+
+def init_descendant(pack: LearngenePack, spec: DescendantSpec) -> tuple[ModelParams, list[tuple[int, int]]]:
+    """The owned copy of ``expansion(pack, spec)``: an untied model of
+    spec.depth in which every layer position holds its own deep copy of its
+    stage set, with the same values, head and report as the view."""
+    view, report = expansion(pack, spec)
+    return view.clone(), report
 
 
 def pack_from_vanilla(model: ModelParams) -> LearngenePack:
@@ -169,10 +183,13 @@ def pack_from_vanilla(model: ModelParams) -> LearngenePack:
 
     This is the baseline expansion: no sharing was ever trained, the layers
     just get stretched across the target depth the same way a real pack is.
+    The pack holds the model's own tensors; nothing is copied.
     """
     if model.plan is not None:
         raise ExpandError("expected an untied model, this one carries a tying plan")
-    return extract_learngene(replace(model, plan=custom_plan([1] * len(model.layers))), {"source": "vanilla"})
+    plan = custom_plan([1] * len(model.layers))
+    return LearngenePack(**{**vars(model), "layers": list(model.layers), "plan": plan},
+                         provenance={"source": "vanilla"})
 
 
 def simple_lg_expand(model: ModelParams, spec: DescendantSpec) -> tuple[ModelParams, list[tuple[int, int]]]:

@@ -130,7 +130,11 @@ def materialize_untied(params: ModelParams) -> ModelParams:
 
 @dataclass
 class LearngenePack(ModelParams):
-    """A tied model (stage sets + plan) plus provenance, all owned copies."""
+    """A tied model (stage sets + plan) plus provenance.
+
+    A pack from ``extract_learngene`` or the store owns its tensors. A vanilla
+    pack (``expand.pack_from_vanilla``) shares its model's tensors, arrays
+    included, so writing to either writes to both."""
 
     provenance: dict = field(default_factory=dict)
     version: int = PACK_VERSION

@@ -76,6 +76,13 @@ class NonFiniteError(StoreError):
     """A payload holds a NaN or an infinity, which ``save`` never writes."""
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """No NaN or infinity in arr. min and max both propagate NaN, and an
+    infinity would be the min or the max, so the check allocates nothing
+    the size of arr. A zero-size array has no min and nothing to refuse."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
@@ -93,7 +100,7 @@ def save(path, kind: str, tensors: "Mapping[str, np.ndarray] | Iterable[tuple[st
     for name, arr in pairs:
         # asarray, not ascontiguousarray: the latter inflates 0-d shapes to (1,).
         arr = np.asarray(arr, dtype="<f4", order="C")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ValueError(f"tensor {name!r} has non-finite values")
         arrays[name] = arr
 
@@ -190,7 +197,7 @@ def load(path, expected_kind: str) -> tuple[dict[str, np.ndarray], dict]:
             fh.seek(payload_at + off)
             if fh.readinto(arr) != length:  # the file shrank since its size was read
                 raise TruncatedError(f"{path}: tensor {name!r} extends past end of file")
-            if not np.isfinite(arr).all():
+            if not _all_finite(arr):
                 raise NonFiniteError(f"{path}: tensor {name!r} has non-finite values")
             out[name] = arr
     return out, meta

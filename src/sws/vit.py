@@ -49,6 +49,16 @@ def is_int(v, least: int | None = None) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and (least is None or v >= least)
 
 
+# The largest size numpy can use as an array dimension or index (C ssize_t).
+MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
+def is_size(v) -> bool:
+    """A positive int no larger than MAX_SIZE: a count that may become an
+    array dimension or a C integer."""
+    return is_int(v, 1) and v <= MAX_SIZE
+
+
 def is_real(v) -> bool:
     """An int or a float; bools are not."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -68,8 +78,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("image_size", "patch_size", "channels", "depth", "width", "heads", "classes"):
             v = getattr(self, name)
-            if not is_int(v, 1):
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            if not is_size(v):
+                raise ConfigError(f"{name} must be a positive integer no larger than {MAX_SIZE}, got {v!r}")
         if not is_real(self.mlp_ratio):
             raise ConfigError(f"mlp_ratio must be a number, got {self.mlp_ratio!r}")
         if self.image_size % self.patch_size != 0:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 import sws.cli
 from sws.cli import CliError, build_parser, load_config, main
 from sws.data import DataError, IdxFormatError, make_synthetic
-from sws.expand import DEFAULT_ORDER, STRATEGIES
+from sws.expand import DEFAULT_ORDER, STRATEGIES, DescendantSpec, init_descendant, simple_lg_expand
 from sws.sharing import StagePlan, build_aux, extract_learngene
 from sws.store import HeaderError, load, load_checkpoint, load_learngene, save, save_checkpoint, save_learngene
 from sws.tensor import NumericError
-from sws.train import DivergenceError, StaleCacheError
-from sws.vit import ModelConfig, build_model
+from sws.train import DivergenceError, StaleCacheError, evaluate
+from sws.vit import MAX_SIZE, ModelConfig, build_model, count_params
 
 BASE = {
     "model": {"image_size": 8, "patch_size": 4, "channels": 1,
@@ -206,6 +207,15 @@ def test_replay_is_byte_identical(tmp_path):
                 if not ln.startswith(("wallclock_seconds=", "argv="))]
 
     assert stable_manifest(a) == stable_manifest(b)
+
+
+def test_manifest_records_the_argv_main_was_given(tmp_path, monkeypatch):
+    pack, out = tmp_path / "g.sws", tmp_path / "d"
+    _save_pack(pack)
+    monkeypatch.setattr("sys.argv", ["harness.py", "--whatever"])
+    argv = ["init-des", "--pack", str(pack), "--depth", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert f"argv={' '.join(argv)}" in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_seed_flag_changes_the_run(tmp_path):
@@ -430,6 +440,32 @@ def test_exit_2_on_non_integer_model_or_data_value(tmp_path, capsys, override):
     assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
+BIG = str(10**30)
+
+
+@pytest.mark.parametrize("override, message", [
+    pytest.param(f"model.depth={BIG}", "depth must be a positive integer no larger than", id="model-depth"),
+    pytest.param(f"model.width={BIG}", "width must be a positive integer no larger than", id="model-width"),
+    pytest.param(f"data.synthetic.n={BIG}", "data.synthetic.n must be a positive integer no larger than",
+                 id="synthetic-n"),
+    pytest.param(f"data.synthetic.classes={BIG}",
+                 "data.synthetic.classes must be a positive integer no larger than", id="synthetic-classes"),
+])
+def test_exit_2_on_a_size_numpy_cannot_index(tmp_path, capsys, override, message):
+    out = tmp_path / "x"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--out", str(out), "--set", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_2_on_a_descendant_depth_numpy_cannot_index(tmp_path, capsys):
+    pack, out = tmp_path / "g.sws", tmp_path / "d"
+    _save_pack(pack)
+    assert main(["init-des", "--pack", str(pack), "--depth", BIG, "--out", str(out)]) == 2
+    assert f"descendant depth must be an integer from 1 to {MAX_SIZE}, got {BIG}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_2_on_idx_paths_that_are_not_strings(tmp_path):
     cfg = write_idx_config(tmp_path, {"images": 3, "labels": 4})
     assert main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -552,6 +588,56 @@ def test_sweep_depth_honours_eval_batch_size(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "s"), "--pack", str(pack), "--vanilla", str(vanilla),
                  "--depths", "2,3", "--scratch-epochs", "1"]) == 0
     assert seen == [7] * 6
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sweep_depth_evaluates_views_with_the_bytes_of_owned_descendants(tmp_path, monkeypatch, strategy):
+    pack_path, vanilla_path, out = tmp_path / "g.sws", tmp_path / "v.sws", tmp_path / "s"
+    _save_pack(pack_path)
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), vanilla_path)
+    cfg = write_config(tmp_path)
+    pack, vanilla = load_learngene(pack_path), load_checkpoint(vanilla_path)
+    _, val = sws.cli.datasets_from(json.loads(cfg.read_text()))
+    lines = ["depth,params,method,val_loss,top1"]
+    for depth in (2, 3, 5):
+        spec = DescendantSpec(depth=depth, strategy=strategy, seed=4)
+        owned = {"simple_lg": simple_lg_expand(vanilla, spec)[0], "sws": init_descendant(pack, spec)[0]}
+        for method, model in owned.items():
+            loss, top1 = evaluate(model, val)
+            lines.append(f"{depth},{count_params(model)},{method},{loss:.6f},{top1:.6f}")
+
+    def copies(*args):
+        raise AssertionError("sweep-depth copied a descendant")
+    monkeypatch.setattr(sws.cli, "init_descendant", copies)
+    monkeypatch.setattr(sws.cli, "simple_lg_expand", copies)
+    assert main(["sweep-depth", "--config", str(cfg), "--pack", str(pack_path), "--vanilla", str(vanilla_path),
+                 "--depths", "5,2,3", "--strategy", strategy, "--des-seed", "4", "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
+def test_sweep_depth_memory_does_not_grow_with_depth(tmp_path):
+    cfg = ModelConfig(**{**BASE["model"], "depth": 4, "width": 128})
+    pack, vanilla = tmp_path / "g.sws", tmp_path / "v.sws"
+    save_learngene(extract_learngene(build_aux(cfg, StagePlan((2, 2)), seed=0)), pack)
+    save_checkpoint(build_model(cfg, seed=1), vanilla)
+
+    def sweep(depths):
+        return main(["sweep-depth", "--config", str(write_config(tmp_path)), "--pack", str(pack),
+                     "--vanilla", str(vanilla), "--depths", depths, "--out", str(tmp_path / depths.replace(",", "-"))])
+
+    def traced_peak(depths):
+        tracemalloc.start()
+        try:
+            assert sweep(depths) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert sweep("4") == 0  # warm-up: one-time set-up stays out of both peaks
+    descendant = init_descendant(load_learngene(pack), DescendantSpec(depth=4))[0]
+    descendant_bytes = sum(t.data.nbytes for _, t in descendant.named_tensors())
+    grown = traced_peak("4,12") - traced_peak("4")
+    assert grown < descendant_bytes, f"peak grew {grown} bytes; a depth-4 descendant holds {descendant_bytes}"
 
 
 def _overflowing_checkpoint(path):

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sws.data import make_synthetic
 from sws.expand import (
+    STRATEGIES,
     DescendantSpec,
     ExpandError,
     InitOrder,
     assignment_for,
     assignment_report,
     contiguous_assignment,
+    expansion,
     init_descendant,
     pack_from_vanilla,
     random_assignment,
@@ -19,7 +22,9 @@ from sws.expand import (
     write_assignment_csv,
 )
 from sws.sharing import StagePlan, build_aux, extract_learngene
+from sws.store import save_learngene
 from sws.tensor import Tensor
+from sws.train import evaluate
 from sws.vit import ModelConfig, build_model, forward_logits
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, depth=4, width=16, heads=2, classes=3)
@@ -248,6 +253,73 @@ def test_random_strategy_descendant():
     sources = [m for _, m in report]
     assert set(sources) <= {1, 2}
     assert len(des.layers) == 8
+
+
+# ---- expansions as views ---------------------------------------------------------------
+
+SPECS = [DescendantSpec(depth=d, strategy=strategy, seed=7) for strategy in STRATEGIES for d in (3, 4, 6)]
+VAL = make_synthetic(40, CFG.classes, CFG.image_size, seed=3)
+
+
+def same_model(view, owned):
+    assert (view.cfg, view.plan) == (owned.cfg, owned.plan)
+    names = [n for n, _ in view.named_tensors()]
+    assert names == [n for n, _ in owned.named_tensors()]
+    for (_, v), (_, o) in zip(view.named_tensors(), owned.named_tensors()):
+        assert np.array_equal(v.data.view(np.uint32), o.data.view(np.uint32))
+    assert evaluate(view, VAL) == evaluate(owned, VAL)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.strategy}-{s.depth}")
+def test_expansion_evaluates_as_the_owned_descendant(spec):
+    # Depths 3, 4 and 6 lie below, at and above the pack's depth of 4.
+    pack = make_pack(seed=8)
+    view, report = expansion(pack, spec)
+    owned, owned_report = init_descendant(pack, spec)
+    assert report == owned_report
+    same_model(view, owned)
+
+
+# A contiguous expansion needs at least the vanilla model's 4 one-layer stages.
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.strategy != "cyclic-contiguous" or s.depth >= 4],
+                         ids=lambda s: f"{s.strategy}-{s.depth}")
+def test_vanilla_expansion_evaluates_as_simple_lg(spec):
+    model = build_model(CFG, seed=9)
+    view, report = expansion(pack_from_vanilla(model), spec)
+    owned, owned_report = simple_lg_expand(model, spec)
+    assert report == owned_report
+    same_model(view, owned)
+
+
+@pytest.mark.parametrize("spec", [DescendantSpec(depth=6), DescendantSpec(depth=5, strategy="random", seed=2,
+                                                                        classes=7)], ids=["same-head", "new-head"])
+def test_expansion_is_a_view_that_leaves_the_pack_alone(tmp_path, spec):
+    pack = make_pack(seed=10)
+    save_learngene(pack, tmp_path / "before.sws")
+    view, report = expansion(pack, spec)
+    sets = pack.layer_sets
+    for (_, m), lp in zip(report, view.layers):
+        assert lp is sets[m - 1]
+    for name in ("patch_w", "patch_b", "cls_token", "pos_embed", "final_ln_g", "final_ln_b"):
+        assert np.shares_memory(getattr(view, name).data, getattr(pack, name).data)
+    assert np.shares_memory(view.head_w.data, pack.head_w.data) == (spec.classes is None)
+    assert (view.plan, view.cfg.depth, pack.cfg.depth) == (None, spec.depth, 4)
+    assert view.cfg.classes == (spec.classes or pack.cfg.classes) and pack.cfg.classes == CFG.classes
+    if spec.classes is None:
+        evaluate(view, VAL)
+    else:
+        forward_logits(view.detach(), Tensor(batch(CFG, 5)))
+    save_learngene(pack, tmp_path / "after.sws")
+    assert (tmp_path / "after.sws").read_bytes() == (tmp_path / "before.sws").read_bytes()
+    assert all(t.grad is None for _, t in [*pack.named_tensors(), *view.named_tensors()])
+
+
+def test_vanilla_pack_shares_the_models_tensors():
+    model = build_model(CFG, seed=11)
+    pack = pack_from_vanilla(model)
+    assert pack.layers is not model.layers and model.plan is None
+    assert all(p is m for p, m in zip(pack.layers, model.layers))
+    assert all(getattr(pack, n) is getattr(model, n) for n in ("patch_w", "pos_embed", "head_w"))
 
 
 # ---- vanilla baseline ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reading each input byte once: the IDX split and the .sws container.
 
 The CLI splits an IDX dataset on its uint8 rows and scales each side only
-afterwards; ``store.load`` reads each tensor straight into its own array. Both
+afterwards; ``store.load`` reads each tensor straight into its own array and
+checks it for NaN and infinity without a mask the size of the tensor. Both
 keep every bit of the old results, and both are held to a tracemalloc peak.
 """
 
@@ -139,6 +140,24 @@ def test_store_load_peaks_at_the_tensor_bytes(tmp_path):
     assert peak <= total + MiB, f"peak {peak / MiB:.1f} MiB for {total / MiB:.1f} MiB of tensors"
     for name, arr in tensors.items():
         assert np.array_equal(arrays[name].view(np.uint32), arr.view(np.uint32))
+
+
+def test_store_load_of_one_tensor_peaks_at_its_bytes(tmp_path):
+    # The finiteness check must not allocate in proportion to the tensor.
+    arr = np.random.default_rng(3).standard_normal((2048, 1024), dtype=np.float32)
+    path = tmp_path / "one.sws"
+    save(path, "checkpoint", {"w": arr}, {"cfg": {}})
+    (arrays, _), peak = traced_peak(lambda: load(path, "checkpoint"))
+    assert arr.nbytes >= 8 * MiB
+    assert peak <= arr.nbytes + MiB, f"peak {peak / MiB:.2f} MiB for {arr.nbytes / MiB:.1f} MiB of tensor"
+    assert np.array_equal(arrays["w"].view(np.uint32), arr.view(np.uint32))
+
+
+def test_store_round_trips_zero_size_tensors(tmp_path):
+    path = tmp_path / "empty.sws"
+    save(path, "checkpoint", {"e": np.zeros((0, 3), np.float32), "w": np.ones(2, np.float32)}, {"cfg": {}})
+    arrays, _ = load(path, "checkpoint")
+    assert arrays["e"].shape == (0, 3) and np.array_equal(arrays["w"], np.ones(2, np.float32))
 
 
 def test_a_lying_index_allocates_nothing_before_it_is_rejected(tmp_path):
