@@ -8,8 +8,9 @@ divergence leaves no directory and no partial artifacts behind. Identical
 config and seed replay to identical artifacts (checkpoints bitwise, CSVs
 bytewise); the manifest's wallclock lines are the one place times appear.
 
-Exit codes: 0 success, 2 config or validation problem, 3 file I/O problem,
-4 malformed or mismatched artifact, 5 numeric divergence, 1 anything else.
+Exit codes: 0 success, 2 config or validation problem (a size too large for
+memory included), 3 file I/O problem, 4 malformed or mismatched artifact,
+5 numeric divergence, 1 anything else.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ EXIT_IO = 3
 EXIT_FORMAT = 4
 EXIT_DIVERGED = 5
 
-# First match wins: IdxFormatError is a DataError, hence a ValueError.
+# First match wins: IdxFormatError is a DataError, hence a ValueError. A
+# MemoryError comes from sizes that numpy can index but memory cannot hold.
 _EXIT_CODES = (
     (IdxFormatError, EXIT_FORMAT),
-    (ValueError, EXIT_CONFIG),
+    ((ValueError, MemoryError), EXIT_CONFIG),
     ((StoreError, StaleCacheError), EXIT_FORMAT),
     ((DivergenceError, NumericError), EXIT_DIVERGED),
     (OSError, EXIT_IO),
@@ -57,7 +59,8 @@ _EXIT_CODES = (
 
 _EPILOG = """exit codes:
   0  success
-  2  config or validation problem (bad flag, bad value, inconsistent sections)
+  2  config or validation problem (bad flag, bad value, inconsistent sections,
+     sizes too large for memory)
   3  file I/O problem (missing path, unreadable file)
   4  malformed or mismatched artifact (bad header/meta, tensors not matching cfg, stale cache, bad IDX)
   5  numeric divergence during training
@@ -181,13 +184,6 @@ def plan_from(cfg: dict, depth: int):
     raise CliError("plan section needs 'stages' or 'sizes'")
 
 
-def _train_section(cfg: dict) -> dict:
-    section = cfg.get("train") or {}
-    if not isinstance(section, dict):
-        raise CliError("the 'train' section must be an object")
-    return section
-
-
 # What evaluation fills in for a train section that leaves out the keys only
 # training reads; every key the section does give is still checked.
 _EVAL_ONLY = {"epochs": 0, "batch_size": 1}
@@ -196,8 +192,11 @@ _EVAL_ONLY = {"epochs": 0, "batch_size": 1}
 def train_config(cfg: dict, defaults: dict | None = None, **forced) -> TrainConfig:
     """The train section as a TrainConfig: ``defaults`` fill the keys it leaves
     out and ``forced`` override the keys it gives."""
+    section = cfg.get("train") or {}
+    if not isinstance(section, dict):
+        raise CliError("the 'train' section must be an object")
     try:
-        return TrainConfig(**{**(defaults or {}), **_train_section(cfg), **forced})
+        return TrainConfig(**{**(defaults or {}), **section, **forced})
     except TypeError as e:
         raise CliError(f"train section: {e}") from None
 
@@ -311,11 +310,11 @@ def cmd_train_aux(args) -> Run:
     plan = plan_from(cfg, mcfg.depth)
     train_data, val_data = datasets_from(cfg)
 
-    teacher = None
+    teacher = None  # train_model caches a teacher checkpoint's logits itself
     if args.teacher_cache:
         teacher = load_logit_cache(args.teacher_cache)
     elif args.teacher_checkpoint:
-        teacher = cache_teacher_logits(load_checkpoint(args.teacher_checkpoint), train_data)
+        teacher = load_checkpoint(args.teacher_checkpoint)
 
     aux = build_aux(mcfg, plan, tcfg.seed)
     metrics = train_model(aux, train_data, val_data, tcfg, teacher)
@@ -347,10 +346,7 @@ def cmd_finetune(args) -> Run:
     model = load_checkpoint(args.checkpoint)
     check_model_overrides(args.set, model.cfg, "checkpoint")
     train_data, val_data = datasets_from(cfg)
-    forced = {}
-    if not args.teacher_cache and "alpha" not in _train_section(cfg):
-        forced["alpha"] = 0.0  # descendants tune on labels unless asked otherwise
-    tcfg = train_config(cfg, **forced)
+    tcfg = train_config(cfg, None if args.teacher_cache else {"alpha": 0.0})  # labels only unless asked
     teacher = load_logit_cache(args.teacher_cache) if args.teacher_cache else None
     metrics = train_model(model, train_data, val_data, tcfg, teacher)
     print(_eval_line("finetuned", metrics.final.val_loss, metrics.final.top1))
@@ -508,7 +504,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:
         code = next((code for kinds, code in _EXIT_CODES if isinstance(e, kinds)), EXIT_UNEXPECTED)
         prefix = "error" if code != EXIT_UNEXPECTED else f"unexpected error: {type(e).__name__}"
-        print(f"{prefix}: {e}", file=sys.stderr)
+        text = str(e)
+        if isinstance(e, MemoryError):
+            text = "out of memory: a size in the config or its inputs is too large" + (f" ({text})" if text else "")
+        print(f"{prefix}: {text}", file=sys.stderr)
         return code
     return EXIT_OK
 

@@ -1,10 +1,10 @@
 """Expanding a learngene pack into descendants of arbitrary depth.
 
 The cyclic-contiguous strategy keeps stages contiguous: the target depth is
-split across stages in proportion to the source plan, and each position gets
-a fresh copy of its stage's layer set. At the source depth this reproduces
-the auxiliary network exactly. Two other strategies exist for comparisons,
-a round-robin interleaving and a seeded random pick per position.
+split across stages in proportion to the source plan, and each position holds
+its stage's layer set. At the source depth this reproduces the auxiliary
+network exactly. Two other strategies exist for comparisons, a round-robin
+interleaving and a seeded random pick per position.
 
 An expansion is a view of the pack: each position holds the pack's own stage
 set, and the shared tensors are the pack's, so a model of any depth costs no

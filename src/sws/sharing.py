@@ -16,6 +16,7 @@ tensor names, and later expanded into descendants of other depths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -137,7 +138,7 @@ class LearngenePack(ModelParams):
     included, so writing to either writes to both."""
 
     provenance: dict = field(default_factory=dict)
-    version: int = PACK_VERSION
+    version: ClassVar[int] = PACK_VERSION
 
     @property
     def layer_sets(self) -> list[LayerParams]:

@@ -6,9 +6,9 @@ teacher and student distributions and the teacher side never receives
 gradients. alpha = 0 short-circuits to plain classification and never reads
 teacher logits, which is the default for fine-tuning descendants.
 
-Teacher logits normally come from a LogitCache computed once over the train
-split and keyed by the dataset's content hash; a live frozen teacher model is
-also accepted and must produce the same losses as its own cache.
+Teacher logits come from a LogitCache computed once over the train split and
+keyed by the dataset's content hash; a live teacher model handed to
+train_model becomes that cache before the first step.
 
 All shuffling is SplitMix64-driven, so a (seed, config, data) triple fixes the
 whole run. Wall-clock time is recorded per epoch for humans but is kept out of
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -77,14 +78,14 @@ class TrainConfig:
             raise TrainError(f"grad_clip must be a number or null, got {self.grad_clip!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise TrainError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
-            raise TrainError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise TrainError(f"tau must be finite and > 0, got {self.tau}")
         if self.schedule not in SCHEDULES:
             raise TrainError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
             raise TrainError(f"betas must be in [0, 1), got {self.betas}")
-        if self.grad_clip is not None and self.grad_clip <= 0.0:
-            raise TrainError(f"grad_clip must be positive when set, got {self.grad_clip}")
+        if not (self.grad_clip is None or 0.0 < self.grad_clip < np.inf):
+            raise TrainError(f"grad_clip must be finite and positive when set, got {self.grad_clip}")
         if not self.lr > 0.0:
             raise TrainError(f"lr must be > 0, got {self.lr}")
         if not self.weight_decay >= 0.0:
@@ -222,20 +223,19 @@ class LogitCache:
             raise StaleCacheError(f"cache holds {self.logits.shape[0]} rows for {len(data)} samples")
 
 
+def _frozen_logits(model: ModelParams, data: Dataset, batch_size: int) -> Iterator[tuple[Tensor, np.ndarray]]:
+    """(logits, labels) per natural-order batch through ``model.detach()``, so
+    no graph is built and no grad touched; the one graph-free forward here."""
+    frozen = model.detach()
+    for images, labels, _ in batch_iter(data, batch_size):
+        yield forward_logits(frozen, Tensor(images)), labels
+
+
 def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 128) -> LogitCache:
     """Frozen teacher forward over the dataset in natural order, graph-free."""
-    teacher = teacher.detach()
-    rows = []
-    for images, _, _ in batch_iter(data, batch_size):
-        rows.append(forward_logits(teacher, Tensor(images)).data)
+    rows = [logits.data for logits, _ in _frozen_logits(teacher, data, batch_size)]
     logits = np.concatenate(rows, axis=0).astype(np.float32, copy=False)
     return LogitCache(logits=logits, dataset_hash=data.content_hash)
-
-
-def _teacher_rows(teacher, images: np.ndarray, idx: np.ndarray) -> Tensor:
-    if isinstance(teacher, LogitCache):
-        return Tensor(teacher.logits[idx])
-    return forward_logits(teacher, Tensor(images))
 
 
 # ---- evaluation and the loop ------------------------------------------------------
@@ -244,17 +244,15 @@ def _teacher_rows(teacher, images: np.ndarray, idx: np.ndarray) -> Tensor:
 def evaluate(model: ModelParams, data: Dataset, batch_size: int = 256) -> tuple[float, float]:
     """(mean classification loss, top-1 accuracy) over the dataset in order.
 
-    The forward runs on ``model.detach()``, so it builds no autograd graph
-    and leaves every parameter's grad untouched. A head whose class count
-    differs from the data's is a TrainError.
+    The forward is graph-free (``_frozen_logits``), so it leaves every
+    parameter's grad untouched. A head whose class count differs from the
+    data's is a TrainError.
     """
     if data.num_classes != model.cfg.classes:
         raise TrainError(f"model has {model.cfg.classes} classes, data has {data.num_classes}")
-    frozen = model.detach()
     total_loss = 0.0
     hits = 0
-    for images, labels, _ in batch_iter(data, batch_size):
-        logits = forward_logits(frozen, Tensor(images))
+    for logits, labels in _frozen_logits(model, data, batch_size):
         total_loss += loss_cls(logits, labels).item() * len(labels)
         hits += int((np.argmax(logits.data, axis=-1) == labels).sum())
     n = len(data)
@@ -303,14 +301,15 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
 
     Row 0 of the result is the untrained (no-tune) evaluation; epochs=0 gives
     just that row. ``teacher`` may be a LogitCache (checked against the train
-    split's content hash), a frozen teacher model, or None when alpha = 0.
+    split's content hash), a frozen teacher model (cached once here when
+    alpha > 0), or None when alpha = 0.
     """
     if cfg.alpha > 0.0 and teacher is None:
         raise TrainError("alpha > 0 needs a teacher (cache or frozen model)")
-    if isinstance(teacher, LogitCache):
-        teacher.check(train_data)
+    if isinstance(teacher, ModelParams):
+        teacher = cache_teacher_logits(teacher, train_data) if cfg.alpha > 0.0 else None
     elif teacher is not None:
-        teacher = teacher.detach()  # frozen: its forward builds no graph
+        teacher.check(train_data)
 
     opt = AdamW(list(model.named_tensors()), cfg)
     metrics = Metrics()
@@ -322,7 +321,6 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
     steps_per_epoch = (len(train_data) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     step = 0
-    use_teacher = cfg.alpha > 0.0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         seen = 0
@@ -330,7 +328,7 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
         shuffle_seed = derive_seed(cfg.seed, epoch)
         for images, labels, idx in batch_iter(train_data, cfg.batch_size, shuffle_seed):
             logits = forward_logits(model, Tensor(images))
-            t_rows = _teacher_rows(teacher, images, idx) if use_teacher else None
+            t_rows = Tensor(teacher.logits[idx]) if cfg.alpha > 0.0 else None
             loss = loss_total(logits, labels, t_rows, cfg)
             value = loss.item()
             if not np.isfinite(value):

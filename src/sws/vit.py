@@ -80,14 +80,14 @@ class ModelConfig:
             v = getattr(self, name)
             if not is_size(v):
                 raise ConfigError(f"{name} must be a positive integer no larger than {MAX_SIZE}, got {v!r}")
-        if not is_real(self.mlp_ratio):
-            raise ConfigError(f"mlp_ratio must be a number, got {self.mlp_ratio!r}")
+        if not (is_real(self.mlp_ratio) and abs(self.mlp_ratio) < np.inf):
+            raise ConfigError(f"mlp_ratio must be a finite number, got {self.mlp_ratio!r}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        if self.mlp_dim < 1:
-            raise ConfigError(f"mlp_ratio {self.mlp_ratio} gives an empty hidden layer")
+        if not (abs(self.width * self.mlp_ratio) < np.inf and 1 <= self.mlp_dim <= MAX_SIZE):
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} puts mlp_dim outside [1, {MAX_SIZE}]")
 
     @property
     def grid(self) -> int:
@@ -196,34 +196,32 @@ class ModelParams:
             for name, t in layer.named():
                 yield f"layer{i:02d}.{name}", t
 
-    def clone(self, layers: "list[LayerParams] | None" = None, plan=None) -> "ModelParams":
-        """Owned copies of the shared tensors and of ``layers`` (default: this
-        model's), as a ModelParams whose cfg.depth is the length of ``layers``.
+    def clone(self, plan=None) -> "ModelParams":
+        """Owned copies of every tensor.
 
         With a plan, positions that hold one set share one copy, so the tying
         carries over; without one, every position gets its own copy.
         """
-        layers = self.layers if layers is None else layers
-        return self._map(_owned_copy, layers, tied=plan is not None, plan=plan)
+        return self._map(_owned_copy, tied=plan is not None, plan=plan)
 
     def detach(self) -> "ModelParams":
         """The same arrays, uncopied, in requires_grad=False tensors, with the
         tying kept: the model-level ``Tensor.detach``. A forward pass through
         the result records no graph, so each activation is freed as soon as
         the next op has read it."""
-        return self._map(Tensor.detach, self.layers, tied=True, plan=self.plan)
+        return self._map(Tensor.detach, tied=True, plan=self.plan)
 
-    def _map(self, fn, layers: list[LayerParams], tied: bool, plan) -> "ModelParams":
+    def _map(self, fn, tied: bool, plan) -> "ModelParams":
         """fn applied to every tensor; when tied, a set held at several
         positions is mapped once and the result shared by those positions."""
         done: dict[int, LayerParams] = {}
         out = []
-        for lp in layers:
+        for lp in self.layers:
             if not tied or id(lp) not in done:
                 done[id(lp)] = lp.map(fn)
             out.append(done[id(lp)])
         shared = {name: fn(getattr(self, name)) for name in self.SHARED_FIELDS}
-        return ModelParams(cfg=replace(self.cfg, depth=len(layers)), layers=out, plan=plan, **shared)
+        return ModelParams(cfg=self.cfg, layers=out, plan=plan, **shared)
 
     def unique_tensors(self) -> list[tuple[str, Tensor]]:
         """Tensors deduplicated by object identity, first name wins."""

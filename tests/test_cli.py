@@ -905,3 +905,50 @@ def test_an_evaluating_command_checks_the_whole_train_section(tmp_path, capsys, 
                  "--set", "train.lr=-1"]) == 2
     assert "lr must be > 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    pytest.param("train.grad_clip=NaN", "grad_clip must be finite and positive when set, got nan", id="grad-clip-nan"),
+    pytest.param("train.grad_clip=Infinity", "grad_clip must be finite", id="grad-clip-inf"),
+    pytest.param("train.tau=NaN", "tau must be finite and > 0, got nan", id="tau-nan"),
+    pytest.param("train.tau=Infinity", "tau must be finite and > 0, got inf", id="tau-inf"),
+    pytest.param("model.mlp_ratio=NaN", "mlp_ratio must be a finite number, got nan", id="mlp-ratio-nan"),
+    pytest.param("model.mlp_ratio=Infinity", "mlp_ratio must be a finite number, got inf", id="mlp-ratio-inf"),
+    pytest.param("model.mlp_ratio=1e308", f"mlp_ratio 1e+308 puts mlp_dim outside [1, {MAX_SIZE}]",
+                 id="mlp-ratio-overflows"),
+    pytest.param("model.mlp_ratio=1e30", f"mlp_ratio 1e+30 puts mlp_dim outside [1, {MAX_SIZE}]",
+                 id="mlp-dim-above-max-size"),
+])
+def test_exit_2_on_a_non_finite_or_oversized_number(tmp_path, capsys, override, message):
+    teacher, out = tmp_path / "t.sws", tmp_path / "x"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), teacher)
+    assert main(["train-aux", "--config", str(write_config(tmp_path)), "--teacher-checkpoint", str(teacher),
+                 "--set", "train.alpha=0.9", "--set", override, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 128. TiB for an array", ""], ids=["numpy-detail", "no-detail"])
+def test_exit_2_when_memory_runs_out(tmp_path, monkeypatch, capsys, detail):
+    def build_model(cfg, seed):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(sws.cli, "build_model", build_model)
+    out = tmp_path / "x"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: a size in the config or its inputs is too large")
+    assert detail in err
+    assert not out.exists()
+
+
+def test_train_aux_from_a_teacher_checkpoint_writes_the_bytes_of_its_cache(tmp_path):
+    tdir = tmp_path / "t"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--out", str(tdir)]) == 0
+    aux_cfg = write_config(tmp_path, "aux.json", train={"epochs": 2, "alpha": 0.9, "tau": 2.0})
+    written = {}
+    for flag, artifact in (("--teacher-cache", "teacher_logits.sws"), ("--teacher-checkpoint", "teacher.sws")):
+        out = tmp_path / flag
+        assert main(["train-aux", "--config", str(aux_cfg), flag, str(tdir / artifact), "--out", str(out)]) == 0
+        written[flag] = [(out / name).read_bytes() for name in ("aux.sws", "learngene.sws", "metrics.csv")]
+    assert written["--teacher-checkpoint"] == written["--teacher-cache"]

@@ -321,6 +321,26 @@ def test_training_with_cache_matches_live_teacher():
         np.testing.assert_allclose(ta.data, tb.data, atol=1e-6, err_msg=na)
 
 
+def test_a_live_teacher_is_forwarded_once_in_natural_order(monkeypatch):
+    # A teacher model is turned into its logit cache before the first step:
+    # one pass over the train split in batches of 128, not one per step.
+    import sws.train as train
+
+    tr, va = split(tiny_data(n=300), 0.75, seed=2)
+    teacher = build_model(ModelConfig(**{**CFG.to_dict(), "depth": 2}), seed=9)
+    teacher_batches = []
+
+    def spy(params, images):
+        if params.cfg.depth == teacher.cfg.depth:
+            teacher_batches.append(images.data)
+        return forward_logits(params, images)
+    monkeypatch.setattr(train, "forward_logits", spy)
+    train_model(build_model(CFG, seed=3), tr, va, TrainConfig(epochs=2, batch_size=32, alpha=0.5, seed=4), teacher)
+
+    assert len(teacher_batches) == -(-len(tr) // 128) == 2
+    assert np.array_equal(np.concatenate(teacher_batches), tr.images)
+
+
 # ---- evaluate -------------------------------------------------------------------------
 
 
