@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, IdxFormatError, check_idx, fnv1a64, make_synthetic, split, split_idx
-from .data import load_idx  # noqa: F401 -- perfbench/tracer.py patches sws.cli.load_idx
+from .data import Dataset, IdxFormatError, check_idx, fnv1a64, load_idx, make_synthetic, split
 from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, expansion, init_descendant,
                      pack_from_vanilla, write_assignment_csv)
 from .expand import simple_lg_expand  # noqa: F401 -- perfbench/tracer.py patches sws.cli.simple_lg_expand
@@ -62,7 +61,8 @@ _EPILOG = """exit codes:
   2  config or validation problem (bad flag, bad value, inconsistent sections,
      sizes too large for memory)
   3  file I/O problem (missing path, unreadable file)
-  4  malformed or mismatched artifact (bad header/meta, tensors not matching cfg, stale cache, bad IDX)
+  4  malformed or mismatched artifact (bad header/meta, tensors not matching cfg, stale cache or
+     teacher class count, bad IDX)
   5  numeric divergence during training
   1  unexpected failure
 """
@@ -229,13 +229,13 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
     elif not all(isinstance(s[k], str) for k in _SOURCE_KEYS[kind]):
         raise CliError(f"data.idx images and labels must be paths, got {s!r}")
     else:
-        files = check_idx(s["images"], s["labels"])  # a bad file exits 4 before a bad fraction exits 2
+        check_idx(s["images"], s["labels"])  # a bad file exits 4 before a bad fraction exits 2
     fraction, split_seed = section.get("train_fraction", 0.8), section.get("split_seed", 0)
     if not (is_real(fraction) and is_int(split_seed)):
         raise CliError(f"data.train_fraction must be a number and data.split_seed an integer, "
                        f"got {fraction!r} and {split_seed!r}")
     if kind == "idx":
-        return split_idx(files, fraction, split_seed)
+        full = load_idx(s["images"], s["labels"])
     return split(full, fraction, split_seed)
 
 

@@ -7,8 +7,14 @@ The exact construction is part of the package contract: two runs (or two
 implementations following the same recipe) must produce bit-identical
 integer noise streams, so generation never touches a library RNG.
 
-Content hashing uses 64-bit FNV-1a over the raw image bytes (float32,
-little-endian, C order) followed by the labels as little-endian uint32.
+An IDX dataset keeps the file's uint8 pixels as its rows. They become
+float32 p / 255 in [0, 1] only where they are read, one batch or one hash
+block at a time, so the float32 images of a whole split never exist at once.
+Scaling is elementwise: every batch, hash and artifact has the bits it would
+have had if the whole file had been scaled first.
+
+Content hashing uses 64-bit FNV-1a over the float32 images (little-endian,
+C order) followed by the labels as little-endian uint32.
 The hash keys cached teacher logits to the dataset they were computed on.
 
 FNV-1a is computed exactly, but a chunk of bytes at a time in numpy rather
@@ -36,7 +42,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,42 +122,62 @@ def _fnv1a64_update(h: int, buf: np.ndarray) -> int:
     return h
 
 
-def _fnv1a64_rows(h: int, arr: np.ndarray, dtype: str) -> int:
-    """Continue h over arr as C-order bytes of dtype, a chunk of rows at a time.
+def _fnv1a64_rows(h: int, arr: np.ndarray, dtype: str, decode=np.asarray) -> int:
+    """Continue h over decode(arr) as C-order bytes of dtype, a chunk of rows at a time.
 
-    At most one block of rows is converted at a time, so arr is never copied whole.
+    At most one block of rows is decoded and converted at a time, so arr is never copied whole.
     """
     row_bytes = arr[:1].size * np.dtype(dtype).itemsize
     rows = max(1, _CHUNK // max(row_bytes, 1))
     for i in range(0, len(arr), rows):
-        block = np.ascontiguousarray(arr[i:i + rows], dtype=dtype)
+        block = np.ascontiguousarray(decode(arr[i:i + rows]), dtype=dtype)
         h = _fnv1a64_update(h, block.reshape(-1).view(np.uint8))
     return h
 
 
-@dataclass
-class Dataset:
-    images: np.ndarray  # (N, C, H, W) float32 in [0, 1]
-    labels: np.ndarray  # (N,) int64
-    num_classes: int
-    source: str
-    _hash: int | None = field(default=None, repr=False)
+def _decoded(rows: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float32 p / 255 in [0, 1]; float32 rows as they are."""
+    if rows.dtype != np.uint8:
+        return rows
+    images = rows.astype(np.float32)
+    images /= np.float32(255.0)  # in place: one float32 copy, not two
+    return images
 
-    def __post_init__(self):
-        if self.images.ndim != 4 or self.images.dtype != np.float32:
-            raise DataError(f"images must be float32 (N,C,H,W), got {self.images.dtype} {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise DataError(f"labels shape {self.labels.shape} does not match {self.images.shape[0]} images")
-        if self.images.shape[0] == 0:
+
+class Dataset:
+    """(N, C, H, W) images with their (N,) int64 labels.
+
+    ``rows`` holds the images as given: float32 in [0, 1], or uint8 pixels
+    that decode to float32 where they are read (``batch_iter``,
+    ``content_hash``). ``images`` is always float32, so on uint8 rows it
+    decodes the whole dataset; the pipeline reads ``rows`` instead.
+    """
+
+    def __init__(self, images: np.ndarray, labels: np.ndarray, num_classes: int, source: str):
+        if images.ndim != 4 or images.dtype not in (np.float32, np.uint8):
+            raise DataError(f"images must be float32 or uint8 (N,C,H,W), got {images.dtype} {images.shape}")
+        if labels.shape != (images.shape[0],):
+            raise DataError(f"labels shape {labels.shape} does not match {images.shape[0]} images")
+        if images.shape[0] == 0:
             raise DataError("empty dataset")
+        self.rows, self.labels, self.num_classes, self.source = images, labels, num_classes, source
+        self._hash: int | None = None
 
     def __len__(self) -> int:
-        return int(self.images.shape[0])
+        return int(self.rows.shape[0])
+
+    @property
+    def images(self) -> np.ndarray:
+        return _decoded(self.rows)
+
+    @images.setter
+    def images(self, images: np.ndarray) -> None:
+        self.rows = images
 
     @property
     def content_hash(self) -> int:
         if self._hash is None:
-            self._hash = _fnv1a64_rows(_fnv1a64_rows(FNV_OFFSET, self.images, "<f4"), self.labels, "<u4")
+            self._hash = _fnv1a64_rows(_fnv1a64_rows(FNV_OFFSET, self.rows, "<f4", _decoded), self.labels, "<u4")
         return self._hash
 
 
@@ -258,78 +284,45 @@ def _read_payload(path, offset: int, nbytes: int) -> np.ndarray:
     return out
 
 
-def _read_idx(files: IdxFiles) -> tuple[np.ndarray, np.ndarray]:
-    """The pixels as uint8 (N, 1, H, W) and the labels as int64."""
+def load_idx(images_path, labels_path) -> Dataset:
+    """Read an IDX image/label file pair. The images stay the file's uint8
+    pixels, shaped (N, 1, H, W), and decode to [0, 1] where they are read."""
+    files = check_idx(images_path, labels_path)
     n, h, w = files.count, files.rows, files.cols
     pixels = _read_payload(files.images_path, files.images_at, n * h * w).reshape(n, 1, h, w)
     labels = _read_payload(files.labels_path, files.labels_at, n).astype(np.int64)
-    return pixels, labels
-
-
-def _scaled(pixels: np.ndarray) -> np.ndarray:
-    images = pixels.astype(np.float32)
-    images /= np.float32(255.0)  # in place: one float32 copy, not two
-    return images
-
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label file pair, scaling pixels to [0, 1]."""
-    files = check_idx(images_path, labels_path)
-    pixels, labels = _read_idx(files)
-    return Dataset(images=_scaled(pixels), labels=labels, num_classes=int(labels.max()) + 1,
-                   source=files.source)
+    return Dataset(images=pixels, labels=labels, num_classes=int(labels.max()) + 1, source=files.source)
 
 
 # ---- splits and batches ----------------------------------------------------------
 
 
-def _split_order(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (train, val) indices of a split of n samples. Both sides non-empty."""
+def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded permutation, then a prefix/suffix split. Both sides non-empty.
+    Each side gathers its rows in their stored dtype, so uint8 stays uint8."""
     if not (0.0 < train_fraction < 1.0):
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    n = len(data)
     k = int(n * train_fraction)
     if k < 1 or n - k < 1:
         raise DataError(f"split of {n} samples at {train_fraction} leaves an empty side")
     perm = SplitMix64(seed).permutation(n)
-    return perm[:k], perm[k:]
-
-
-def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded permutation, then a prefix/suffix split. Both sides non-empty."""
-    tr, va = _split_order(len(data), train_fraction, seed)
 
     def take(idx: np.ndarray, tag: str) -> Dataset:
-        return Dataset(images=np.ascontiguousarray(data.images[idx]),
+        return Dataset(images=np.ascontiguousarray(data.rows[idx]),
                        labels=np.ascontiguousarray(data.labels[idx]),
                        num_classes=data.num_classes,
                        source=f"{data.source}/{tag}")
 
-    return take(tr, "train"), take(va, "val")
-
-
-def split_idx(files: IdxFiles, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """``split(load_idx(...), train_fraction, seed)`` bit for bit, reading each
-    byte once: each side gathers its uint8 rows, the file's pixels are dropped,
-    and only then is each side scaled to float32. Scaling is elementwise, so
-    the order does not change a bit."""
-    tr, va = _split_order(files.count, train_fraction, seed)
-    pixels, labels = _read_idx(files)
-    rows = {"train": pixels[tr], "val": pixels[va]}
-    del pixels
-    classes = int(labels.max()) + 1
-
-    def take(idx: np.ndarray, tag: str) -> Dataset:
-        return Dataset(images=_scaled(rows.pop(tag)), labels=labels[idx], num_classes=classes,
-                       source=f"{files.source}/{tag}")
-
-    return take(tr, "train"), take(va, "val")
+    return take(perm[:k], "train"), take(perm[k:], "val")
 
 
 def batch_iter(data: Dataset, batch_size: int, shuffle_seed: int | None = None):
     """Yield (images, labels, indices) batches; the last one may be short.
 
     Without a seed the dataset order is kept; with one, a SplitMix64
-    permutation of that seed decides the order.
+    permutation of that seed decides the order. uint8 rows are decoded
+    one batch at a time.
     """
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
@@ -338,4 +331,4 @@ def batch_iter(data: Dataset, batch_size: int, shuffle_seed: int | None = None):
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         rows = idx if shuffle_seed is not None else slice(start, start + batch_size)  # a slice gives views
-        yield data.images[rows], data.labels[rows], idx
+        yield _decoded(data.rows[rows]), data.labels[rows], idx

@@ -41,7 +41,7 @@ class DivergenceError(RuntimeError):
 
 
 class StaleCacheError(RuntimeError):
-    """Teacher logit cache was built for different data."""
+    """Teacher logits (a cache or a live model) do not fit the data."""
 
 
 @dataclass
@@ -92,6 +92,9 @@ class TrainConfig:
             raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not self.eps_opt > 0.0:
             raise TrainError(f"eps_opt must be > 0, got {self.eps_opt}")
+        for name in ("lr", "eps_opt", "weight_decay"):  # signs are checked above, so only +inf is left
+            if getattr(self, name) == np.inf:
+                raise TrainError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # ---- losses ------------------------------------------------------------------
@@ -221,6 +224,12 @@ class LogitCache:
                 f"got {data.content_hash:#018x}")
         if self.logits.shape[0] != len(data):
             raise StaleCacheError(f"cache holds {self.logits.shape[0]} rows for {len(data)} samples")
+        _check_classes("cache", self.logits.shape[1], data)
+
+
+def _check_classes(kind: str, classes: int, data: Dataset) -> None:
+    if classes != data.num_classes:
+        raise StaleCacheError(f"teacher {kind} has {classes} classes, data has {data.num_classes}")
 
 
 def _frozen_logits(model: ModelParams, data: Dataset, batch_size: int) -> Iterator[tuple[Tensor, np.ndarray]]:
@@ -307,6 +316,7 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
     if cfg.alpha > 0.0 and teacher is None:
         raise TrainError("alpha > 0 needs a teacher (cache or frozen model)")
     if isinstance(teacher, ModelParams):
+        _check_classes("model", teacher.cfg.classes, train_data)
         teacher = cache_teacher_logits(teacher, train_data) if cfg.alpha > 0.0 else None
     elif teacher is not None:
         teacher.check(train_data)

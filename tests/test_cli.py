@@ -9,7 +9,8 @@ from sws.cli import CliError, build_parser, load_config, main
 from sws.data import DataError, IdxFormatError, make_synthetic
 from sws.expand import DEFAULT_ORDER, STRATEGIES, DescendantSpec, init_descendant, simple_lg_expand
 from sws.sharing import StagePlan, build_aux, extract_learngene
-from sws.store import HeaderError, load, load_checkpoint, load_learngene, save, save_checkpoint, save_learngene
+from sws.store import (HeaderError, load, load_checkpoint, load_learngene, load_logit_cache, save,
+                       save_checkpoint, save_learngene, save_logit_cache)
 from sws.tensor import NumericError
 from sws.train import DivergenceError, StaleCacheError, evaluate
 from sws.vit import MAX_SIZE, ModelConfig, build_model, count_params
@@ -952,3 +953,33 @@ def test_train_aux_from_a_teacher_checkpoint_writes_the_bytes_of_its_cache(tmp_p
         assert main(["train-aux", "--config", str(aux_cfg), flag, str(tdir / artifact), "--out", str(out)]) == 0
         written[flag] = [(out / name).read_bytes() for name in ("aux.sws", "learngene.sws", "metrics.csv")]
     assert written["--teacher-checkpoint"] == written["--teacher-cache"]
+
+
+@pytest.mark.parametrize("override, message", [
+    pytest.param("train.lr=Infinity", "lr must be finite, got inf", id="lr-inf"),
+    pytest.param("train.eps_opt=Infinity", "eps_opt must be finite, got inf", id="eps-opt-inf"),
+    pytest.param("train.weight_decay=Infinity", "weight_decay must be finite, got inf", id="weight-decay-inf"),
+    pytest.param("train.lr=1e999", "lr must be finite, got inf", id="lr-overflows"),
+])
+def test_exit_2_on_a_non_finite_optimizer_number(tmp_path, capsys, override, message):
+    out = tmp_path / "x"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--set", override, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--teacher-cache", "--teacher-checkpoint"])
+def test_exit_4_on_a_teacher_with_other_classes(tmp_path, capsys, flag):
+    five = {"model": {"classes": 5}, "data": {"synthetic": {**BASE["data"]["synthetic"], "classes": 5}}}
+    tdir, out = tmp_path / "t", tmp_path / "x"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path, "5.json", **five)), "--out", str(tdir)]) == 0
+    teacher = tdir / ("teacher_logits.sws" if flag == "--teacher-cache" else "teacher.sws")
+    if flag == "--teacher-cache":  # the hash and row count of the 3-class train split, with 5 columns
+        cache = load_logit_cache(teacher)
+        train_data, _ = sws.cli.datasets_from(json.loads(write_config(tmp_path).read_text()))
+        save_logit_cache(type(cache)(logits=cache.logits, dataset_hash=train_data.content_hash), teacher)
+    assert main(["train-aux", "--config", str(write_config(tmp_path)), "--set", "train.alpha=0.9",
+                 flag, str(teacher), "--out", str(out)]) == 4
+    kind = "cache" if flag == "--teacher-cache" else "model"
+    assert f"teacher {kind} has 5 classes, data has 3" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,10 @@
 """Reading each input byte once: the IDX split and the .sws container.
 
-The CLI splits an IDX dataset on its uint8 rows and scales each side only
-afterwards; ``store.load`` reads each tensor straight into its own array and
-checks it for NaN and infinity without a mask the size of the tensor. Both
-keep every bit of the old results, and both are held to a tracemalloc peak.
+An IDX dataset keeps its uint8 rows through the split and decodes them to
+float32 one batch or hash block at a time; ``store.load`` reads each tensor
+straight into its own array and checks it for NaN and infinity without a
+mask the size of the tensor. Both keep every bit of the old results, and
+both are held to a tracemalloc peak.
 """
 
 import json
@@ -13,8 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sws.cli import datasets_from
-from sws.data import batch_iter, load_idx, make_synthetic, split
+import sws.data
+from sws.cli import datasets_from, main
+from sws.data import Dataset, batch_iter, fnv1a64, load_idx, make_synthetic, split
 from sws.store import MAGIC, VERSION, OverlapError, load, load_logit_cache, save, save_logit_cache
 from sws.tensor import Tensor
 from sws.train import cache_teacher_logits
@@ -71,6 +73,66 @@ def test_idx_split_peaks_at_the_float32_sides_plus_the_file(tmp_path):
     sides = train.images.nbytes + val.images.nbytes
     assert sides == 4 * file_bytes
     assert peak <= sides + file_bytes + MiB, f"peak {peak / MiB:.1f} MiB for {sides / MiB:.1f} MiB of images"
+
+
+@pytest.mark.parametrize("fraction, seed", [(0.8, 0), (0.37, 9)])
+def test_uint8_rows_give_the_bits_of_their_float32_decode(tmp_path, fraction, seed):
+    ip, lp = write_idx(tmp_path, n=301, size=8, seed=seed)
+    teacher = build_model(ModelConfig(image_size=8, patch_size=4, channels=1, depth=1, width=8, heads=2,
+                                      classes=10), seed=2)
+    for side in datasets_from(idx_config(ip, lp, fraction, seed)):
+        ref = Dataset(images=side.images, labels=side.labels, num_classes=side.num_classes, source=side.source)
+        assert side.rows.dtype == np.uint8 and ref.rows.dtype == np.float32
+        assert side.content_hash == ref.content_hash
+        for shuffle_seed in (None, 11):
+            got, want = list(batch_iter(side, 32, shuffle_seed)), list(batch_iter(ref, 32, shuffle_seed))
+            assert len(got) == len(want)
+            for (g_images, g_labels, g_idx), (w_images, w_labels, w_idx) in zip(got, want):
+                assert g_images.dtype == np.float32
+                assert np.array_equal(g_images.view(np.uint32), w_images.view(np.uint32))
+                assert np.array_equal(g_labels, w_labels) and np.array_equal(g_idx, w_idx)
+        save_logit_cache(cache_teacher_logits(teacher, side), tmp_path / "a.sws")
+        save_logit_cache(cache_teacher_logits(teacher, ref), tmp_path / "b.sws")
+        assert (tmp_path / "a.sws").read_bytes() == (tmp_path / "b.sws").read_bytes()
+
+
+def test_an_idx_split_holds_uint8_sides_and_hashes_a_block_at_a_time(tmp_path):
+    ip, lp = write_idx(tmp_path, n=6000, size=28)
+    file_bytes = 6000 * 28 * 28
+    fnv1a64(b"")  # builds the hash's table of powers, once per process, outside the trace
+    tracemalloc.start()
+    try:
+        train, val = datasets_from(idx_config(ip, lp, 0.8, 3))
+        split_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        train.content_hash
+        hash_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sides = file_bytes + 8 * 6000  # uint8 pixels and int64 labels of both sides
+    assert split_peak <= 2 * file_bytes + MiB, f"peak {split_peak / MiB:.1f} MiB for a {file_bytes / MiB:.1f} MiB file"
+    assert hash_peak <= sides + MiB, f"hash peak {hash_peak / MiB:.1f} MiB over {sides / MiB:.1f} MiB of sides"
+
+
+def test_train_teacher_on_idx_data_decodes_at_most_one_batch_at_a_time(tmp_path, monkeypatch):
+    ip, lp = write_idx(tmp_path, n=600, size=16)
+    cfg = {"model": {"image_size": 16, "patch_size": 8, "channels": 1, "depth": 1, "width": 8, "heads": 2,
+                     "classes": 10},
+           "train": {"epochs": 1, "batch_size": 16, "eval_batch_size": 64, "seed": 1},
+           **idx_config(ip, lp, 0.8, 5)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    decoded, sizes = sws.data._decoded, []
+
+    def spy(rows):
+        if rows.dtype == np.uint8:
+            sizes.append(len(rows))
+        return decoded(rows)
+    monkeypatch.setattr(sws.data, "_decoded", spy)
+    assert main(["train-teacher", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
+    # Every row of both sides is decoded (training, evaluation, the cache and its
+    # hash), never more at once than the cache's batch of 128 of the 480 train rows.
+    assert sum(sizes) >= 600 and max(sizes) <= 128
 
 
 # ---- batches ---------------------------------------------------------------------------

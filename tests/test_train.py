@@ -303,6 +303,29 @@ def test_cache_check_rejects_row_mismatch():
         cache.check(data)
 
 
+def test_cache_check_rejects_a_class_count_mismatch():
+    data = tiny_data()
+    cache = LogitCache(logits=np.zeros((len(data), 5), np.float32), dataset_hash=data.content_hash)
+    with pytest.raises(StaleCacheError, match="teacher cache has 5 classes, data has 3"):
+        cache.check(data)
+
+
+def test_a_live_teacher_with_other_classes_is_rejected_before_any_forward(monkeypatch):
+    import sws.train as train
+
+    calls = []
+
+    def spy(params, images):
+        calls.append(params.cfg.classes)
+        return forward_logits(params, images)
+    monkeypatch.setattr(train, "forward_logits", spy)
+    tr, va = split(tiny_data(), 0.75, seed=2)
+    teacher = build_model(ModelConfig(**{**CFG.to_dict(), "classes": 5}), seed=9)
+    with pytest.raises(StaleCacheError, match="teacher model has 5 classes, data has 3"):
+        train_model(build_model(CFG, seed=3), tr, va, TrainConfig(epochs=1, batch_size=8, alpha=0.9), teacher)
+    assert calls == []
+
+
 def test_training_with_cache_matches_live_teacher():
     data = tiny_data(n=32)
     tr, va = split(data, 0.75, seed=2)
