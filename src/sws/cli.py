@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, IdxFormatError, check_idx, fnv1a64, load_idx, make_synthetic, split
+from .data import Dataset, IdxFormatError, check_idx, fnv1a64, make_synthetic, split
+from .data import load_idx  # noqa: F401 -- perfbench/tracer.py patches sws.cli.load_idx
 from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, expansion, init_descendant,
                      pack_from_vanilla, write_assignment_csv)
 from .expand import simple_lg_expand  # noqa: F401 -- perfbench/tracer.py patches sws.cli.simple_lg_expand
@@ -229,14 +230,12 @@ def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
     elif not all(isinstance(s[k], str) for k in _SOURCE_KEYS[kind]):
         raise CliError(f"data.idx images and labels must be paths, got {s!r}")
     else:
-        check_idx(s["images"], s["labels"])  # a bad file exits 4 before a bad fraction exits 2
+        full = check_idx(s["images"], s["labels"])  # a bad file exits 4 before a bad fraction exits 2
     fraction, split_seed = section.get("train_fraction", 0.8), section.get("split_seed", 0)
     if not (is_real(fraction) and is_int(split_seed)):
         raise CliError(f"data.train_fraction must be a number and data.split_seed an integer, "
                        f"got {fraction!r} and {split_seed!r}")
-    if kind == "idx":
-        full = load_idx(s["images"], s["labels"])
-    return split(full, fraction, split_seed)
+    return split(full, fraction, split_seed)  # an IDX pair is read straight into split order
 
 
 # ---- run directory helpers --------------------------------------------------------

@@ -5,13 +5,16 @@ sinusoid whose row/column frequencies are functions of the class, plus
 bounded per-pixel noise from a SplitMix64 stream seeded with (seed XOR t).
 The exact construction is part of the package contract: two runs (or two
 implementations following the same recipe) must produce bit-identical
-integer noise streams, so generation never touches a library RNG.
+integer noise streams, so generation never touches a library RNG. The
+images are built once, in place, in whole arrays.
 
-An IDX dataset keeps the file's uint8 pixels as its rows. They become
-float32 p / 255 in [0, 1] only where they are read, one batch or one hash
-block at a time, so the float32 images of a whole split never exist at once.
-Scaling is elementwise: every batch, hash and artifact has the bits it would
-have had if the whole file had been scaled first.
+An IDX dataset keeps the file's uint8 pixels as its rows. ``split`` reads a
+checked file pair (``check_idx``) a chunk at a time, each row straight to its
+permuted place, so the file's pixels are held once; ``load_idx`` reads it in
+file order. Pixels become float32 p / 255 in [0, 1] only where they are read,
+one batch or one hash block at a time, so the float32 images of a whole split
+never exist at once. Scaling is elementwise: every batch, hash and artifact
+has the bits it would have had if the whole file had been scaled first.
 
 Content hashing uses 64-bit FNV-1a over the float32 images (little-endian,
 C order) followed by the labels as little-endian uint32.
@@ -192,6 +195,12 @@ def make_synthetic(n: int, classes: int, size: int, seed: int) -> Dataset:
     where u in [-1, 1) comes from sample t's own SplitMix64 stream (seeded
     seed XOR t), one draw per pixel in row-major order, each 64-bit output
     mapped through its top 53 bits over 2**53.
+
+    The images are built in place, in whole arrays: at most three full-size
+    intermediates at once (the float64 phase that becomes the base image, the
+    uint64 draws and the float64 noise) besides the float32 result. Each step
+    is the recipe's own IEEE operation, so every bit is that of the formula
+    above.
     """
     if n < 1 or classes < 1 or size < 1:
         raise DataError(f"need n, classes, size >= 1, got {n}, {classes}, {size}")
@@ -201,19 +210,36 @@ def make_synthetic(n: int, classes: int, size: int, seed: int) -> Dataset:
     freq_j = 1.0 + ((3 * labels) % classes).astype(np.float64)
 
     ii, jj = np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij")
-    phase = (freq_i[:, None, None] * ii[None] + freq_j[:, None, None] * jj[None]) / size
-    base = 0.5 + 0.35 * np.sin(2.0 * np.pi * phase)
+    # One allocation for two of the three full-size arrays. Freeing it raises
+    # glibc's dynamic mmap and trim thresholds to its size, so a later forward
+    # pass reuses its heap instead of trimming and re-faulting it.
+    base, scratch = np.empty((2, n, size, size))  # phase then base image; a product, then the draws
+    np.multiply(freq_i[:, None, None], ii, out=base)
+    np.multiply(freq_j[:, None, None], jj, out=scratch)
+    base += scratch
+    base /= size
+    base *= 2.0 * np.pi
+    np.sin(base, out=base)
+    base *= 0.35
+    base += 0.5
 
     # Per-sample streams, all samples and pixels in one vectorized pass:
     # draw k of stream t is finalize((seed ^ t) + k * GAMMA), k = 1..S*S.
     seeds = np.uint64(seed & MASK64) ^ np.arange(n, dtype=np.uint64)
     ks = np.arange(1, size * size + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _finalize64_np(seeds[:, None] + ks[None, :] * np.uint64(GAMMA))
-    u = 2.0 * ((z >> np.uint64(11)).astype(np.float64) / float(1 << 53)) - 1.0
-    u = u.reshape(n, size, size)
+    z = np.add(seeds[:, None], ks * np.uint64(GAMMA), out=scratch.view(np.uint64).reshape(n, -1))
+    _finalize64_np(z)
+    z >>= np.uint64(11)
+    noise = z.astype(np.float64)  # u = 2 (top 53 bits / 2**53) - 1, then 0.15 u
+    noise /= float(1 << 53)
+    noise *= 2.0
+    noise -= 1.0
+    noise *= 0.15
+    base += noise.reshape(n, size, size)
+    del noise
 
-    images = np.clip(base + 0.15 * u, 0.0, 1.0).astype(np.float32)[:, None, :, :]
+    np.clip(base, 0.0, 1.0, out=base)
+    images = base.astype(np.float32)[:, None, :, :]
     return Dataset(images=images, labels=labels, num_classes=classes,
                    source=f"synthetic(n={n},classes={classes},size={size},seed={seed})")
 
@@ -284,12 +310,32 @@ def _read_payload(path, offset: int, nbytes: int) -> np.ndarray:
     return out
 
 
+_READ_CHUNK = 1 << 18  # bytes of an IDX images file read at a time
+
+
+def _read_rows_into(files: IdxFiles, out: np.ndarray, where: np.ndarray) -> None:
+    """Read the images file a chunk of rows at a time; file row r goes to out[where[r]]."""
+    n, row_bytes = files.count, files.rows * files.cols
+    step = max(1, _READ_CHUNK // max(row_bytes, 1))
+    buf = np.empty((min(step, n), 1, files.rows, files.cols), np.uint8)
+    with open(files.images_path, "rb") as fh:
+        fh.seek(files.images_at)
+        for start in range(0, n, step):
+            chunk = buf[:min(step, n - start)]
+            got = fh.readinto(chunk)
+            if got != chunk.nbytes:  # the file shrank since it was checked
+                raise IdxFormatError(f"{files.images_path}: payload is {start * row_bytes + got} bytes, "
+                                     f"expected {n * row_bytes}")
+            out[where[start:start + len(chunk)]] = chunk
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label file pair. The images stay the file's uint8
     pixels, shaped (N, 1, H, W), and decode to [0, 1] where they are read."""
     files = check_idx(images_path, labels_path)
-    n, h, w = files.count, files.rows, files.cols
-    pixels = _read_payload(files.images_path, files.images_at, n * h * w).reshape(n, 1, h, w)
+    n = files.count
+    pixels = np.empty((n, 1, files.rows, files.cols), np.uint8)
+    _read_rows_into(files, pixels, np.arange(n))
     labels = _read_payload(files.labels_path, files.labels_at, n).astype(np.int64)
     return Dataset(images=pixels, labels=labels, num_classes=int(labels.max()) + 1, source=files.source)
 
@@ -297,24 +343,36 @@ def load_idx(images_path, labels_path) -> Dataset:
 # ---- splits and batches ----------------------------------------------------------
 
 
-def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def split(data: Dataset | IdxFiles, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded permutation, then a prefix/suffix split. Both sides non-empty.
-    Each side gathers its rows in their stored dtype, so uint8 stays uint8."""
+
+    The rows are gathered once, in permuted order and their stored dtype (uint8
+    stays uint8), into one array: the train side is a view of its prefix and the
+    val side of its suffix, both C-contiguous. Given checked ``IdxFiles``, the
+    images file is read a chunk at a time, each row straight to its permuted
+    place, so the file's pixels are never held twice.
+    """
     if not (0.0 < train_fraction < 1.0):
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(data)
+    n = data.count if isinstance(data, IdxFiles) else len(data)
     k = int(n * train_fraction)
     if k < 1 or n - k < 1:
         raise DataError(f"split of {n} samples at {train_fraction} leaves an empty side")
     perm = SplitMix64(seed).permutation(n)
+    if isinstance(data, IdxFiles):
+        file_labels = _read_payload(data.labels_path, data.labels_at, n)
+        num_classes, source = int(file_labels.max()) + 1, data.source
+        labels = file_labels[perm].astype(np.int64)
+        rows = np.empty((n, 1, data.rows, data.cols), np.uint8)
+        _read_rows_into(data, rows, np.argsort(perm))  # file row r lands at its permuted place
+    else:
+        num_classes, source = data.num_classes, data.source
+        rows, labels = np.ascontiguousarray(data.rows[perm]), np.ascontiguousarray(data.labels[perm])
 
-    def take(idx: np.ndarray, tag: str) -> Dataset:
-        return Dataset(images=np.ascontiguousarray(data.rows[idx]),
-                       labels=np.ascontiguousarray(data.labels[idx]),
-                       num_classes=data.num_classes,
-                       source=f"{data.source}/{tag}")
+    def side(part: slice, tag: str) -> Dataset:
+        return Dataset(images=rows[part], labels=labels[part], num_classes=num_classes, source=f"{source}/{tag}")
 
-    return take(perm[:k], "train"), take(perm[k:], "val")
+    return side(slice(None, k), "train"), side(slice(k, None), "val")
 
 
 def batch_iter(data: Dataset, batch_size: int, shuffle_seed: int | None = None):

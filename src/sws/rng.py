@@ -30,9 +30,16 @@ def finalize64(x: int) -> int:
 
 
 def _finalize64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """``finalize64`` on every element of the uint64 array z, in place; returns z.
+
+    Each step writes into z, so the only other array is one shift at a time.
+    """
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMix64:
@@ -53,10 +60,10 @@ class SplitMix64:
     def block_u64(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._seed) + idx * np.uint64(GAMMA)
+        z *= np.uint64(GAMMA)
+        z += np.uint64(self._seed)
         return _finalize64_np(z)
 
     # ---- real-valued draws -------------------------------------------------

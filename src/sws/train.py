@@ -241,9 +241,13 @@ def _frozen_logits(model: ModelParams, data: Dataset, batch_size: int) -> Iterat
 
 
 def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 128) -> LogitCache:
-    """Frozen teacher forward over the dataset in natural order, graph-free."""
-    rows = [logits.data for logits, _ in _frozen_logits(teacher, data, batch_size)]
-    logits = np.concatenate(rows, axis=0).astype(np.float32, copy=False)
+    """Frozen teacher forward over the dataset in natural order, graph-free.
+    Each batch's logits are written into one preallocated float32 array."""
+    logits = np.empty((len(data), teacher.cfg.classes), np.float32)
+    start = 0
+    for batch, labels in _frozen_logits(teacher, data, batch_size):
+        logits[start:start + len(labels)] = batch.data
+        start += len(labels)
     return LogitCache(logits=logits, dataset_hash=data.content_hash)
 
 

@@ -2,7 +2,11 @@
 rename in src/ must fail here, not only in the slow benchmark self-test."""
 
 import importlib
+import struct
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import sws.cli
 import sws.sharing
@@ -44,3 +48,25 @@ def test_step_clock_times_each_evaluate_batch(monkeypatch):
     assert len(clock.ms) == 3  # ceil(20 / 8) batches
     assert all(ms > 0 for ms in clock.ms)
     assert sws.train.forward_logits is sws.vit.forward_logits
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "idx"])
+def test_datasets_from_goes_through_the_traced_data_names(tmp_path, monkeypatch, kind):
+    """Traced data.split and data.make_synthetic wrap sws.cli.split and
+    sws.cli.make_synthetic; a path around them would report 0 s for both."""
+    calls = []
+
+    def spy(name):
+        fn = getattr(sws.cli, name)
+        monkeypatch.setattr(sws.cli, name, lambda *args: calls.append(name) or fn(*args))
+    spy("split")
+    spy("make_synthetic")
+    if kind == "synthetic":
+        source = {"synthetic": {"n": 40, "classes": 3, "size": 4, "seed": 1}}
+    else:
+        ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+        ip.write_bytes(struct.pack(">IIII", 0x803, 40, 4, 4) + bytes(range(40)) * 16)
+        lp.write_bytes(struct.pack(">II", 0x801, 40) + (np.arange(40) % 3).astype(np.uint8).tobytes())
+        source = {"idx": {"images": str(ip), "labels": str(lp)}}
+    sws.cli.datasets_from({"data": {**source, "train_fraction": 0.5, "split_seed": 2}})
+    assert sorted(calls) == (["make_synthetic", "split"] if kind == "synthetic" else ["split"])

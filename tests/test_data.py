@@ -58,6 +58,12 @@ def test_content_hash_golden_value():
     assert make_synthetic(64, 10, 12, 0).content_hash == 0x7C6142218AAFEAC2
 
 
+@pytest.mark.parametrize("args, digest", [((1280, 10, 16, 5), 0x7D99C837642B4C90),   # depth-sweep's size
+                                          ((2000, 10, 12, 7), 0xFD2B8AB783E7F20F)])  # tied-train's size
+def test_content_hash_golden_value_at_the_benchmark_sizes(args, digest):
+    assert make_synthetic(*args).content_hash == digest
+
+
 def test_content_hash_ignores_byte_order_and_layout():
     ds = make_synthetic(40, 3, 5, seed=2)
     for images in (ds.images.astype(">f4"), np.asfortranarray(ds.images)):
@@ -132,6 +138,21 @@ def test_synthetic_noise_stream_is_per_sample():
     a = make_synthetic(6, 3, 4, seed=9)
     b = make_synthetic(4, 3, 4, seed=9)
     assert np.array_equal(a.images[:4], b.images[:4])
+
+
+def test_synthetic_builds_its_images_in_at_most_three_full_size_arrays():
+    n, size = 1280, 16
+    pixels = n * size * size
+    make_synthetic(4, 2, 4, seed=0)  # first-call allocations stay outside the trace
+    tracemalloc.start()
+    try:
+        ds = make_synthetic(n, 10, size, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Three float64 pixel arrays (phase/base, uint64 draws, noise), the float32 images and 1 MiB.
+    bound = 3 * 8 * pixels + ds.images.nbytes + (1 << 20)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over a bound of {bound / 2**20:.2f} MiB"
 
 
 def test_synthetic_validates_arguments():
@@ -228,6 +249,15 @@ def test_split_partitions_dataset():
     np.testing.assert_array_equal(tr.images, ds.images[perm[:15]])
     np.testing.assert_array_equal(va.labels, ds.labels[perm[15:]])
     assert tr.num_classes == ds.num_classes
+
+
+def test_split_sides_are_contiguous_views_of_one_permuted_copy():
+    ds = make_synthetic(20, 4, 4, seed=5)
+    tr, va = split(ds, 0.75, seed=2)
+    for a, b in ((tr.rows, va.rows), (tr.labels, va.labels)):
+        assert a.base is not None and a.base is b.base
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, ds.rows) and not np.shares_memory(a, ds.labels)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
 
 
 def test_split_deterministic_and_seeded():

@@ -114,6 +114,55 @@ def test_an_idx_split_holds_uint8_sides_and_hashes_a_block_at_a_time(tmp_path):
     assert hash_peak <= sides + MiB, f"hash peak {hash_peak / MiB:.1f} MiB over {sides / MiB:.1f} MiB of sides"
 
 
+def test_an_idx_split_reads_rows_straight_into_one_permuted_copy(tmp_path):
+    ip, lp = write_idx(tmp_path, n=6000, size=28)
+    file_bytes = 6000 * 28 * 28
+    (train, val), peak = traced_peak(lambda: datasets_from(idx_config(ip, lp, 0.8, 3)))
+    assert peak <= file_bytes + MiB, f"peak {peak / MiB:.2f} MiB for a {file_bytes / MiB:.2f} MiB file"
+    for a, b in ((train.rows, val.rows), (train.labels, val.labels)):
+        assert a.base is not None and a.base is b.base and not np.shares_memory(a, b)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+
+
+def test_an_idx_command_checks_and_reads_the_images_file_once(tmp_path, monkeypatch):
+    ip, lp = write_idx(tmp_path, n=300, size=8)
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(sws.cli, "check_idx", spy("check", sws.cli.check_idx))
+    monkeypatch.setattr(sws.data, "_read_rows_into", spy("images", sws.data._read_rows_into))
+    monkeypatch.setattr(sws.data, "_read_payload", spy("payload", sws.data._read_payload))
+    datasets_from(idx_config(ip, lp, 0.8, 1))
+    assert calls.count("check") == 1 and calls.count("images") == 1
+    assert calls.count("payload") == 1  # the labels; the pixels are read by rows only
+
+
+def test_exit_4_when_the_images_file_shrinks_after_its_check(tmp_path, monkeypatch, capsys):
+    ip, lp = write_idx(tmp_path, n=3000, size=28)
+    cfg = {"model": {"image_size": 28, "patch_size": 14, "channels": 1, "depth": 1, "width": 8, "heads": 2,
+                     "classes": 10},
+           "train": {"epochs": 1, "batch_size": 16, "seed": 1}, **idx_config(ip, lp, 0.8, 5)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    check = sws.cli.check_idx
+
+    def check_then_truncate(images, labels):
+        files = check(images, labels)
+        with open(images, "r+b") as fh:  # cut mid-row, several read chunks into the payload
+            fh.truncate(files.images_at + 2000 * 28 * 28 + 7)
+        return files
+    monkeypatch.setattr(sws.cli, "check_idx", check_then_truncate)
+    out = tmp_path / "t"
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert ip in err and "payload" in err
+    assert not out.exists()
+
+
 def test_train_teacher_on_idx_data_decodes_at_most_one_batch_at_a_time(tmp_path, monkeypatch):
     ip, lp = write_idx(tmp_path, n=600, size=16)
     cfg = {"model": {"image_size": 16, "patch_size": 8, "channels": 1, "depth": 1, "width": 8, "heads": 2,
@@ -158,6 +207,17 @@ def test_teacher_logit_cache_keeps_its_bytes(tmp_path):
     save_logit_cache(cache, tmp_path / "a.sws")
     save_logit_cache(type(cache)(logits=want, dataset_hash=data.content_hash), tmp_path / "b.sws")
     assert (tmp_path / "a.sws").read_bytes() == (tmp_path / "b.sws").read_bytes()
+
+
+def test_teacher_logit_cache_peaks_at_its_own_bytes():
+    # A 1000-class head makes the cache outweigh the forward's activations.
+    cfg = ModelConfig(image_size=8, patch_size=4, channels=1, depth=1, width=8, heads=2, classes=1000)
+    teacher = build_model(cfg, seed=1)
+    data, _ = split(make_synthetic(6000, 1000, 8, seed=3), 0.8, seed=1)
+    data.content_hash  # hashed outside the trace
+    cache, peak = traced_peak(lambda: cache_teacher_logits(teacher, data))
+    assert cache.logits.shape == (4800, 1000) and cache.logits.dtype == np.float32
+    assert peak <= 1.25 * cache.logits.nbytes, f"peak {peak / cache.logits.nbytes:.2f} x the cache's bytes"
 
 
 # ---- the .sws container ----------------------------------------------------------------
