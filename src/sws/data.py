@@ -8,10 +8,10 @@ implementations following the same recipe) must produce bit-identical
 integer noise streams, so generation never touches a library RNG. The
 images are built once, in place, in whole arrays.
 
-An IDX dataset keeps the file's uint8 pixels as its rows. ``split`` reads a
-checked file pair (``check_idx``) a chunk at a time, each row straight to its
-permuted place, so the file's pixels are held once; ``load_idx`` reads it in
-file order. Pixels become float32 p / 255 in [0, 1] only where they are read,
+An IDX dataset keeps the file's uint8 pixels as its rows. One routine reads a
+checked pair (``check_idx``) in a given row order, ``load_idx``'s file order or
+``split``'s permutation, each row straight to its place: the file's pixels are
+held once. Pixels become float32 p / 255 in [0, 1] only where they are read,
 one batch or one hash block at a time, so the float32 images of a whole split
 never exist at once. Scaling is elementwise: every batch, hash and artifact
 has the bits it would have had if the whole file had been scaled first.
@@ -43,6 +43,7 @@ step is h' = (h ^ b) * P mod 2**64. Per chunk:
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -259,10 +260,6 @@ class IdxFiles:
     images_at: int  # payload offsets
     labels_at: int
 
-    @property
-    def source(self) -> str:
-        return f"idx({self.images_path},{self.labels_path})"
-
 
 def _head(path, ndims: int) -> tuple[bytes, int]:
     """The first bytes of an IDX file, as many as its header takes, and the file's size."""
@@ -270,7 +267,8 @@ def _head(path, ndims: int) -> tuple[bytes, int]:
         return fh.read(4 + 4 * ndims), os.fstat(fh.fileno()).st_size
 
 
-def _read_idx_header(raw: bytes, path, magic_want: int, ndims: int) -> tuple[tuple[int, ...], int]:
+def _read_idx_header(raw: bytes, size: int, path, magic_want: int, ndims: int) -> tuple[tuple[int, ...], int]:
+    """An IDX file's dims and payload offset, from its first bytes and its size."""
     head = 4 + 4 * ndims
     if len(raw) < head:
         raise IdxFormatError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -278,20 +276,18 @@ def _read_idx_header(raw: bytes, path, magic_want: int, ndims: int) -> tuple[tup
     if magic != magic_want:
         raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}, expected 0x{magic_want:08x}")
     dims = struct.unpack(f">{ndims}I", raw[4:head])
+    if size != head + math.prod(dims):
+        raise IdxFormatError(f"{path}: payload is {size - head} bytes, expected {math.prod(dims)}")
     return dims, head
 
 
 def check_idx(images_path, labels_path) -> IdxFiles:
     """Check an IDX image/label file pair from its headers and file sizes,
-    reading no pixels."""
-    raw_img, size = _head(images_path, 3)
+    reading no pixels. Both files are opened before either is parsed."""
+    raw_img, img_size = _head(images_path, 3)
     raw_lab, lab_size = _head(labels_path, 1)
-    (n, h, w), off = _read_idx_header(raw_img, images_path, IDX_IMAGES_MAGIC, 3)
-    if size != off + n * h * w:
-        raise IdxFormatError(f"{images_path}: payload is {size - off} bytes, expected {n * h * w}")
-    (n_lab,), lab_off = _read_idx_header(raw_lab, labels_path, IDX_LABELS_MAGIC, 1)
-    if lab_size != lab_off + n_lab:
-        raise IdxFormatError(f"{labels_path}: payload is {lab_size - lab_off} bytes, expected {n_lab}")
+    (n, h, w), off = _read_idx_header(raw_img, img_size, images_path, IDX_IMAGES_MAGIC, 3)
+    (n_lab,), lab_off = _read_idx_header(raw_lab, lab_size, labels_path, IDX_LABELS_MAGIC, 1)
     if n != n_lab:
         raise IdxFormatError(f"count mismatch: {n} images vs {n_lab} labels")
     if n == 0:
@@ -329,15 +325,20 @@ def _read_rows_into(files: IdxFiles, out: np.ndarray, where: np.ndarray) -> None
             out[where[start:start + len(chunk)]] = chunk
 
 
+def _read_idx(files: IdxFiles, order: np.ndarray) -> Dataset:
+    """A checked pair's samples in the given order: file row order[i] becomes row i."""
+    file_labels = _read_payload(files.labels_path, files.labels_at, files.count)
+    pixels = np.empty((files.count, 1, files.rows, files.cols), np.uint8)
+    _read_rows_into(files, pixels, np.argsort(order))
+    return Dataset(pixels, file_labels[order].astype(np.int64), int(file_labels.max()) + 1,
+                   f"idx({files.images_path},{files.labels_path})")
+
+
 def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label file pair. The images stay the file's uint8
-    pixels, shaped (N, 1, H, W), and decode to [0, 1] where they are read."""
+    """Check and read an IDX image/label file pair in file order. The images stay
+    the file's uint8 pixels, shaped (N, 1, H, W), and decode where they are read."""
     files = check_idx(images_path, labels_path)
-    n = files.count
-    pixels = np.empty((n, 1, files.rows, files.cols), np.uint8)
-    _read_rows_into(files, pixels, np.arange(n))
-    labels = _read_payload(files.labels_path, files.labels_at, n).astype(np.int64)
-    return Dataset(images=pixels, labels=labels, num_classes=int(labels.max()) + 1, source=files.source)
+    return _read_idx(files, np.arange(files.count))
 
 
 # ---- splits and batches ----------------------------------------------------------
@@ -346,11 +347,11 @@ def load_idx(images_path, labels_path) -> Dataset:
 def split(data: Dataset | IdxFiles, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded permutation, then a prefix/suffix split. Both sides non-empty.
 
-    The rows are gathered once, in permuted order and their stored dtype (uint8
-    stays uint8), into one array: the train side is a view of its prefix and the
-    val side of its suffix, both C-contiguous. Given checked ``IdxFiles``, the
-    images file is read a chunk at a time, each row straight to its permuted
-    place, so the file's pixels are never held twice.
+    The rows are put in permuted order once, in their stored dtype (uint8 stays
+    uint8), into one C-contiguous array: the train side is a view of its prefix
+    and the val side of its suffix. A ``Dataset`` is gathered; checked
+    ``IdxFiles`` are read by the same routine as ``load_idx``, each row straight
+    to its permuted place, so the file's pixels are never held twice.
     """
     if not (0.0 < train_fraction < 1.0):
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -359,18 +360,12 @@ def split(data: Dataset | IdxFiles, train_fraction: float, seed: int) -> tuple[D
     if k < 1 or n - k < 1:
         raise DataError(f"split of {n} samples at {train_fraction} leaves an empty side")
     perm = SplitMix64(seed).permutation(n)
-    if isinstance(data, IdxFiles):
-        file_labels = _read_payload(data.labels_path, data.labels_at, n)
-        num_classes, source = int(file_labels.max()) + 1, data.source
-        labels = file_labels[perm].astype(np.int64)
-        rows = np.empty((n, 1, data.rows, data.cols), np.uint8)
-        _read_rows_into(data, rows, np.argsort(perm))  # file row r lands at its permuted place
-    else:
-        num_classes, source = data.num_classes, data.source
-        rows, labels = np.ascontiguousarray(data.rows[perm]), np.ascontiguousarray(data.labels[perm])
+    whole = (_read_idx(data, perm) if isinstance(data, IdxFiles) else
+             Dataset(np.ascontiguousarray(data.rows[perm]), np.ascontiguousarray(data.labels[perm]),
+                     data.num_classes, data.source))
 
     def side(part: slice, tag: str) -> Dataset:
-        return Dataset(images=rows[part], labels=labels[part], num_classes=num_classes, source=f"{source}/{tag}")
+        return Dataset(whole.rows[part], whole.labels[part], whole.num_classes, f"{whole.source}/{tag}")
 
     return side(slice(None, k), "train"), side(slice(k, None), "val")
 

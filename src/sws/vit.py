@@ -324,8 +324,8 @@ def _block(x: Tensor, lp: LayerParams, cfg: ModelConfig, b: int, n: int) -> Tens
 def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
     """Logits (B, classes) for a batch of images (B, C, H, W).
 
-    When neither the images nor any parameter requires grad, the batch runs
-    in blocks of ``row_block_size`` samples (see ``_row_blocks``) and the
+    When neither the images nor any parameter requires grad, every batch runs
+    through ``_row_blocks``, in blocks of ``row_block_size`` samples, and the
     logits are concatenated in block order, so memory stays bounded however
     large the batch is. Every op treats the samples of a batch independently,
     but the logits need not be the same bits as one whole-batch pass: BLAS
@@ -341,12 +341,11 @@ def forward_logits(params: ModelParams, images: Tensor) -> Tensor:
     expect = (cfg.channels, cfg.image_size, cfg.image_size)
     if images.data.ndim != 4 or images.shape[1:] != expect:
         raise T.ShapeError(f"forward_logits: images {images.shape} do not match (B,) + {expect}")
-    rows = row_block_size(cfg, np.result_type(images.data.dtype, params.patch_w.data.dtype).itemsize)
-    if (images.shape[0] <= rows or images.requires_grad
-            or any(t.requires_grad for _, t in params.named_tensors())):
+    if images.requires_grad or any(t.requires_grad for _, t in params.named_tensors()):
         return _logits(params, images)
-    blocks = [Tensor(images.data[i:i + rows]) for i in range(0, images.shape[0], rows)]
-    return Tensor(np.concatenate(_row_blocks(params, blocks)))
+    rows = row_block_size(cfg, np.result_type(images.data.dtype, params.patch_w.data.dtype).itemsize)
+    starts = range(0, max(images.shape[0], 1), rows)  # an empty batch is one empty block
+    return Tensor(np.concatenate(_row_blocks(params, [Tensor(images.data[i:i + rows]) for i in starts])))
 
 
 def _row_blocks(params: ModelParams, blocks: list[Tensor]) -> list[np.ndarray]:

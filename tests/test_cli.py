@@ -983,3 +983,68 @@ def test_exit_4_on_a_teacher_with_other_classes(tmp_path, capsys, flag):
     kind = "cache" if flag == "--teacher-cache" else "model"
     assert f"teacher {kind} has 5 classes, data has 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _raw_config(tmp_path, cfg):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _without(section):
+    return {k: v for k, v in BASE.items() if k != section}
+
+
+def _eval_argv(tmp_path, *flags):
+    ckpt = tmp_path / "m.sws"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), ckpt)
+    return ["eval", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt), *flags]
+
+
+@pytest.mark.parametrize("argv, section", [
+    (lambda p: ["train-teacher", "--config", str(_raw_config(p, [1]))], "top level"),
+    (lambda p: ["train-teacher", "--config", str(write_config(p)), "--set", "train.seed.x=1"],
+     "'seed' is not a section"),
+    (lambda p: _eval_argv(p, "--set", "model=5"), "--set model must be an object"),
+    (lambda p: ["train-teacher", "--config", str(_raw_config(p, _without("model")))], "'model' section"),
+    (lambda p: ["train-teacher", "--config", str(write_config(p)), "--set", "model.depthh=3"], "model section"),
+    (lambda p: ["train-aux", "--config", str(_raw_config(p, _without("plan")))], "'plan' section"),
+    (lambda p: ["train-aux", "--config", str(_raw_config(p, {**BASE, "plan": {}}))], "plan section"),
+    (lambda p: ["train-teacher", "--config", str(write_config(p, train=5))], "'train' section"),
+    (lambda p: ["train-teacher", "--config", str(write_config(p)), "--set", "train.lrr=1"], "train section"),
+    (lambda p: ["train-teacher", "--config", str(_raw_config(p, _without("data")))], "'data' section"),
+], ids=["top-level-list", "set-through-a-value", "set-model-scalar", "no-model", "unknown-model-key", "no-plan",
+        "empty-plan", "train-scalar", "unknown-train-key", "no-data"])
+def test_exit_2_names_the_section_of_a_misshapen_config(tmp_path, capsys, argv, section):
+    out = tmp_path / "out"
+    assert main([*argv(tmp_path), "--out", str(out)]) == 2
+    assert section in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_says_unknown_when_numpy_cannot_name_its_blas(tmp_path, monkeypatch):
+    def show_config(mode=None):  # numpy < 1.26 takes no mode
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+    monkeypatch.setattr(np, "show_config", show_config)
+    out = tmp_path / "t"
+    assert main(["train-teacher", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    assert "blas=unknown" in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_exit_5_names_the_epoch_and_step_of_a_nan_loss(tmp_path, monkeypatch, capsys):
+    import sws.train
+
+    loss_total, calls = sws.train.loss_total, []
+
+    def nan_at_the_second_step(*args):
+        calls.append(1)
+        loss = loss_total(*args)
+        return sws.tensor.scale(loss, float("nan")) if len(calls) == 2 else loss
+    monkeypatch.setattr(sws.train, "loss_total", nan_at_the_second_step)
+    out = tmp_path / "t"
+    # 96 train samples in batches of 96: one step per epoch, so step 2 is epoch 2's first.
+    argv = ["train-teacher", "--config", str(write_config(tmp_path, train={"epochs": 2, "batch_size": 96})),
+            "--out", str(out)]
+    assert main(argv) == 5
+    assert "non-finite loss nan at epoch 2, step 2" in capsys.readouterr().err
+    assert not out.exists()

@@ -299,3 +299,9 @@ def test_batch_iter_rejects_bad_size():
     ds = make_synthetic(4, 2, 4, seed=1)
     with pytest.raises(DataError):
         list(batch_iter(ds, 0))
+
+
+def test_dataset_rejects_zero_rows():
+    with pytest.raises(DataError, match="empty"):
+        Dataset(images=np.zeros((0, 1, 4, 4), dtype=np.float32), labels=np.zeros(0, dtype=np.int64),
+                num_classes=2, source="x")

@@ -8,6 +8,7 @@ both are held to a tracemalloc peak.
 """
 
 import json
+import os
 import struct
 import tracemalloc
 
@@ -17,7 +18,8 @@ import pytest
 import sws.data
 from sws.cli import datasets_from, main
 from sws.data import Dataset, batch_iter, fnv1a64, load_idx, make_synthetic, split
-from sws.store import MAGIC, VERSION, OverlapError, load, load_logit_cache, save, save_logit_cache
+from sws.store import (MAGIC, VERSION, OverlapError, TruncatedError, load, load_logit_cache, save, save_checkpoint,
+                       save_logit_cache)
 from sws.tensor import Tensor
 from sws.train import cache_teacher_logits
 from sws.vit import ModelConfig, build_model, forward_logits
@@ -294,3 +296,73 @@ def test_a_lying_index_allocates_nothing_before_it_is_rejected(tmp_path):
             load(path, "checkpoint")
     _, peak = traced_peak(attempt)
     assert peak < MiB, f"peak {peak / MiB:.1f} MiB for a {path.stat().st_size / MiB:.1f} MiB file"
+
+
+# ---- files that disagree with their checks -------------------------------------------
+
+
+def idx_teacher_argv(tmp_path, ip, lp):
+    cfg = {"model": {"image_size": 8, "patch_size": 4, "channels": 1, "depth": 1, "width": 8, "heads": 2,
+                     "classes": 10},
+           "train": {"epochs": 1, "batch_size": 16, "seed": 1}, **idx_config(ip, lp, 0.8, 5)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["train-teacher", "--config", str(path), "--out", str(tmp_path / "t")]
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+def test_exit_4_names_a_labels_file_whose_payload_disagrees_with_its_header(tmp_path, capsys, extra):
+    ip, lp = write_idx(tmp_path, n=50, size=8)
+    labels = tmp_path / "labels.idx"
+    labels.write_bytes(labels.read_bytes() + b"\x00" if extra > 0 else labels.read_bytes()[:-1])
+    assert main(idx_teacher_argv(tmp_path, ip, lp)) == 4
+    assert f"{lp}: payload is {50 + extra} bytes, expected 50" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_exit_4_when_the_labels_file_shrinks_after_its_check(tmp_path, monkeypatch, capsys):
+    ip, lp = write_idx(tmp_path, n=50, size=8)
+    check = sws.cli.check_idx
+
+    def check_then_truncate(images, labels):
+        files = check(images, labels)
+        with open(labels, "r+b") as fh:
+            fh.truncate(files.labels_at + 30)
+        return files
+    monkeypatch.setattr(sws.cli, "check_idx", check_then_truncate)
+    assert main(idx_teacher_argv(tmp_path, ip, lp)) == 4
+    assert f"{lp}: payload is 30 bytes, expected 50" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def shrink_after_next_fstat(monkeypatch, path):
+    """Cut the last 4 bytes of path right after the next os.fstat has read a size;
+    returns a list that is non-empty once that has happened."""
+    fstat, shrunk = os.fstat, []
+
+    def fstat_then_shrink(fd):
+        st = fstat(fd)
+        if not shrunk:
+            os.truncate(path, st.st_size - 4)
+            shrunk.append(fd)
+        return st
+    monkeypatch.setattr(os, "fstat", fstat_then_shrink)
+    return shrunk
+
+
+def test_exit_4_when_a_container_shrinks_between_its_index_check_and_its_read(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.sws"
+    save(path, "checkpoint", {"a": np.ones(4, np.float32), "b": np.ones(4, np.float32)})
+    shrunk = shrink_after_next_fstat(monkeypatch, path)
+    with pytest.raises(TruncatedError, match="tensor 'b' extends past end of file"):
+        load(path, "checkpoint")
+    assert shrunk
+
+    ckpt, cfg, out = tmp_path / "m.sws", tmp_path / "cfg.json", tmp_path / "e"
+    save_checkpoint(build_model(ModelConfig(image_size=8, patch_size=4, channels=1, depth=1, width=8, heads=2,
+                                            classes=3), seed=0), ckpt)
+    cfg.write_text(json.dumps({"data": {"synthetic": {"n": 20, "classes": 3, "size": 8}}}))
+    shrunk = shrink_after_next_fstat(monkeypatch, ckpt)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 4
+    assert "extends past end of file" in capsys.readouterr().err
+    assert shrunk and not out.exists()

@@ -215,3 +215,10 @@ def test_extract_learngene_requires_intact_tying():
     aux.layers[1] = aux.layers[1].clone()
     with pytest.raises(PlanError):
         extract_learngene(aux)
+
+
+def test_check_tying_rejects_a_plan_for_another_depth():
+    aux = build_aux(CFG, StagePlan((2, 2)), seed=1)
+    del aux.layers[3]
+    with pytest.raises(PlanError, match="plan covers 4 positions, model has 3"):
+        check_tying(aux)

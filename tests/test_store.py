@@ -534,3 +534,19 @@ def test_load_rejects_a_non_finite_payload(tmp_path, bits):
     with pytest.raises(NonFiniteError, match="'alpha' has non-finite values"):
         load(path, "checkpoint")
     assert issubclass(NonFiniteError, StoreError)
+
+
+def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save(tmp_path / "a.sws", "checkpoint", {"w": np.ones(3, np.float32)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "a.sws"
+    save(path, "checkpoint", {"w": np.ones(3, np.float32)})
+    with pytest.raises(ValueError, match="expected_kind must be one of"):
+        load(path, "bogus")

@@ -443,3 +443,32 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape, np.float32))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: T.sub(_zeros(2, 3), _zeros(4)), T.ShapeError, "sub: cannot broadcast"),
+    (lambda: T.mul(_zeros(2, 3), _zeros(4)), T.ShapeError, "mul: cannot broadcast"),
+    (lambda: T.matmul(_zeros(3), _zeros(3, 2)), T.ShapeError, "matmul needs ndim >= 2"),
+    (lambda: T.reshape(_zeros(2, 3), (4,)), T.ShapeError, "changes element count"),
+    (lambda: T.permute(_zeros(2, 3), (0, 0)), T.ShapeError, "not a permutation"),
+    (lambda: T.broadcast_to(_zeros(2, 3), (4, 3)), T.ShapeError, r"broadcast_to: \(2, 3\) -> \(4, 3\)"),
+    (lambda: T.index_axis(_zeros(2, 3), 2, 0), T.ShapeError, "axis 2 out of range"),
+    (lambda: T.concat([], axis=0), ValueError, "concat of zero tensors"),
+    (lambda: T.layer_norm(_zeros(2, 3), _zeros(4), _zeros(3)), T.ShapeError, "affine shapes"),
+    (lambda: T.soft_cross_entropy(_zeros(2, 3), _zeros(2, 4)), T.ShapeError, "matching 2-d shapes"),
+    (lambda: T.soft_cross_entropy(_zeros(3), _zeros(3)), T.ShapeError, "matching 2-d shapes"),
+    (lambda: grad_check(lambda x: x, np.zeros(3)), T.ShapeError, "must return a scalar"),
+], ids=["sub", "mul", "matmul-ndim", "reshape", "permute", "broadcast_to", "index_axis", "concat-nothing",
+        "layer_norm-affine", "soft_cross_entropy-shapes", "soft_cross_entropy-1d", "grad_check-non-scalar"])
+def test_ops_reject_operands_of_the_wrong_shape(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_a_tensor_from_an_int_array_is_float32():
+    t = Tensor(np.arange(3))
+    assert t.data.dtype == np.float32 and t.data.tolist() == [0.0, 1.0, 2.0]

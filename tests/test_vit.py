@@ -530,3 +530,40 @@ def test_import_starts_no_thread():
     code = f"import sys, threading; sys.path.insert(0, {src!r}); import sws.cli; print(threading.active_count())"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "1"
+
+
+def test_openblas_threads_is_none_when_the_library_has_no_thread_controls(monkeypatch, fresh_lookup):
+    import types
+
+    vit = fresh_lookup
+    monkeypatch.setattr(vit.ctypes, "CDLL", lambda path: types.SimpleNamespace())  # no symbol at all
+    assert vit.openblas_threads() is None
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, count, cpus):
+    import os
+
+    import sws.vit as vit
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert vit._usable_cpus() == cpus
+
+
+@pytest.mark.parametrize("batch", [0, 1, 5], ids=["empty", "one-row", "one-block"])
+def test_every_graph_free_batch_runs_through_the_row_blocks(monkeypatch, batch):
+    import sws.vit as vit
+
+    row_blocks, calls = vit._row_blocks, []
+
+    def spy(params, blocks):
+        calls.append([b.shape[0] for b in blocks])
+        return row_blocks(params, blocks)
+    monkeypatch.setattr(vit, "_row_blocks", spy)
+    params = build_model(TINY, seed=2)
+    x = images_for(TINY, batch)
+    free = forward_logits(params.detach(), Tensor(x))
+    assert calls == [[batch]] and free.shape == (batch, TINY.classes)
+    assert np.array_equal(free.data, forward_logits(params, Tensor(x)).data)  # a graph pass, not split
+    assert calls == [[batch]]
