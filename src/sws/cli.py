@@ -23,6 +23,7 @@ import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -32,13 +33,13 @@ from .data import load_idx  # noqa: F401 -- perfbench/tracer.py patches sws.cli.
 from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, expansion, init_descendant,
                      pack_from_vanilla, write_assignment_csv)
 from .expand import simple_lg_expand  # noqa: F401 -- perfbench/tracer.py patches sws.cli.simple_lg_expand
-from .sharing import balanced_plan, build_aux, custom_plan, extract_learngene
+from .sharing import PlanError, balanced_plan, build_aux, custom_plan, extract_learngene
 from .store import (StoreError, load_checkpoint, load_learngene, load_logit_cache, save_checkpoint,
                     save_learngene, save_logit_cache)
 from .tensor import NumericError
 from .train import (DivergenceError, StaleCacheError, TrainConfig, cache_teacher_logits, evaluate,
                     train_model)
-from .vit import MAX_SIZE, ModelConfig, build_model, count_params, is_int, is_real, is_size, openblas_threads
+from .vit import INT, NUMBER, SIZE, ModelConfig, build_model, check, count_params, openblas_threads
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -116,19 +117,31 @@ def _apply_overrides(cfg: dict, set_flags: list[str]) -> dict:
     return cfg
 
 
-# The keys a config may hold where no dataclass checks them; an unknown key
-# exits 2 rather than being silently dropped. Every data source key is
-# required except data.synthetic.seed.
+# The keys of the sections that no dataclass checks, and the rules of their
+# values; an unknown key exits 2 rather than being silently dropped. Every data
+# source key is required except data.synthetic.seed.
 _SECTIONS = ("model", "plan", "train", "data")
 _PLAN_KEYS = ("stages", "sizes")
-_SOURCE_KEYS = {"synthetic": ("n", "classes", "size", "seed"), "idx": ("images", "labels")}
-_DATA_KEYS = (*_SOURCE_KEYS, "train_fraction", "split_seed")
+_PATH = ("a path", lambda v: isinstance(v, str))
+_SOURCE_RULES = {"synthetic": {"n": (SIZE,), "classes": (SIZE,), "size": (SIZE,), "seed": (INT,)},
+                 "idx": {"images": (_PATH,), "labels": (_PATH,)}}
+_SPLIT_RULES = {"train_fraction": (NUMBER,), "split_seed": (INT,)}
+_DATA_KEYS = (*_SOURCE_RULES, *_SPLIT_RULES)
 
 
-def _check_keys(where: str, section: dict, allowed: tuple[str, ...]) -> None:
+def _check_keys(where: str, section: dict, allowed: Collection[str]) -> None:
     unknown = [k for k in section if k not in allowed]
     if unknown:
         raise CliError(f"{where}: unknown key {', '.join(map(repr, unknown))} (allowed: {', '.join(allowed)})")
+
+
+def _section(parent: dict, name: str, where: str = "") -> dict:
+    """``parent[name]``, which must be an object."""
+    section = parent.get(name)
+    if not isinstance(section, dict):
+        raise CliError(f"the '{where}{name}' section must be an object, got {section!r}" if name in parent
+                       else f"config needs a '{where}{name}' section")
+    return section
 
 
 def command_config(args) -> dict:
@@ -159,30 +172,27 @@ def check_model_overrides(set_flags: list[str], model_cfg: ModelConfig, loaded: 
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    section = cfg.get("model")
-    if not isinstance(section, dict):
-        raise CliError("config needs a 'model' section")
     try:
-        return ModelConfig(**section)
+        return ModelConfig(**_section(cfg, "model"))
     except TypeError as e:
         raise CliError(f"model section: {e}") from None
 
 
 def plan_from(cfg: dict, depth: int):
-    section = cfg.get("plan")
-    if not isinstance(section, dict):
-        raise CliError("config needs a 'plan' section ({'stages': M} or {'sizes': [...]})")
+    section = _section(cfg, "plan")
     _check_keys("plan", section, _PLAN_KEYS)
     if len(section) > 1:
         raise CliError("plan takes 'stages' or 'sizes', not both")
-    if "sizes" in section:
-        plan = custom_plan(section["sizes"])
-        if plan.total_layers != depth:
-            raise CliError(f"plan sizes sum to {plan.total_layers}, model depth is {depth}")
-        return plan
-    if "stages" in section:
-        return balanced_plan(depth, section["stages"])
-    raise CliError("plan section needs 'stages' or 'sizes'")
+    if not section:
+        raise CliError("plan section needs 'stages' or 'sizes'")
+    [(key, value)] = section.items()
+    try:
+        plan = custom_plan(value) if key == "sizes" else balanced_plan(depth, value)
+    except PlanError as e:
+        raise CliError(f"plan.{key}: {e}") from None
+    if plan.total_layers != depth:
+        raise CliError(f"plan sizes sum to {plan.total_layers}, model depth is {depth}")
+    return plan
 
 
 # What evaluation fills in for a train section that leaves out the keys only
@@ -192,50 +202,34 @@ _EVAL_ONLY = {"epochs": 0, "batch_size": 1}
 
 def train_config(cfg: dict, defaults: dict | None = None, **forced) -> TrainConfig:
     """The train section as a TrainConfig: ``defaults`` fill the keys it leaves
-    out and ``forced`` override the keys it gives."""
-    section = cfg.get("train") or {}
-    if not isinstance(section, dict):
-        raise CliError("the 'train' section must be an object")
+    out, and ``forced`` override the keys it gives once the section, as
+    given, has passed its checks."""
+    section = {} if cfg.get("train") is None else _section(cfg, "train")
     try:
-        return TrainConfig(**{**(defaults or {}), **section, **forced})
+        return replace(TrainConfig(**{**(defaults or {}), **forced, **section}), **forced)
     except TypeError as e:
         raise CliError(f"train section: {e}") from None
 
 
 def datasets_from(cfg: dict) -> tuple[Dataset, Dataset]:
-    section = cfg.get("data")
-    if not isinstance(section, dict):
-        raise CliError("config needs a 'data' section")
+    section = _section(cfg, "data")
     _check_keys("data", section, _DATA_KEYS)
-    kinds = [k for k in _SOURCE_KEYS if k in section]
+    kinds = [k for k in _SOURCE_RULES if k in section]
     if len(kinds) != 1:
         raise CliError("data section needs 'synthetic' or 'idx'" + (", not both" if kinds else ""))
     kind = kinds[0]
-    s = section[kind]
-    if not isinstance(s, dict):
-        raise CliError(f"data.{kind} must be an object")
-    _check_keys(f"data.{kind}", s, _SOURCE_KEYS[kind])
-    missing = [k for k in _SOURCE_KEYS[kind] if k not in s and k != "seed"]
+    s, rules = _section(section, kind, "data."), _SOURCE_RULES[kind]
+    _check_keys(f"data.{kind}", s, rules)
+    missing = [k for k in rules if k not in s and k != "seed"]
     if missing:
         raise CliError(f"data.{kind} needs {', '.join(map(repr, missing))}")
+    check(s, rules, CliError, f"data.{kind}.")
     if kind == "synthetic":
-        n, classes, size, seed = s["n"], s["classes"], s["size"], s.get("seed", 0)
-        for key in ("n", "classes", "size"):
-            if not is_size(s[key]):
-                raise CliError(f"data.synthetic.{key} must be a positive integer no larger than {MAX_SIZE}, "
-                               f"got {s[key]!r}")
-        if not is_int(seed):
-            raise CliError(f"data.synthetic.seed must be an integer, got {seed!r}")
-        full = make_synthetic(n, classes, size, seed)
-    elif not all(isinstance(s[k], str) for k in _SOURCE_KEYS[kind]):
-        raise CliError(f"data.idx images and labels must be paths, got {s!r}")
+        full = make_synthetic(s["n"], s["classes"], s["size"], s.get("seed", 0))
     else:
         full = check_idx(s["images"], s["labels"])  # a bad file exits 4 before a bad fraction exits 2
-    fraction, split_seed = section.get("train_fraction", 0.8), section.get("split_seed", 0)
-    if not (is_real(fraction) and is_int(split_seed)):
-        raise CliError(f"data.train_fraction must be a number and data.split_seed an integer, "
-                       f"got {fraction!r} and {split_seed!r}")
-    return split(full, fraction, split_seed)  # an IDX pair is read straight into split order
+    check(section, _SPLIT_RULES, CliError, "data.")
+    return split(full, section.get("train_fraction", 0.8), section.get("split_seed", 0))  # IDX: read in split order
 
 
 # ---- run directory helpers --------------------------------------------------------

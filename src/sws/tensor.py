@@ -84,33 +84,14 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Graph:

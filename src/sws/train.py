@@ -27,7 +27,7 @@ from . import tensor as T
 from .data import Dataset, batch_iter
 from .rng import derive_seed
 from .tensor import Tensor, backward
-from .vit import ModelParams, forward_logits, is_int, is_real, unique_named
+from .vit import FINITE, INT, NUMBER, ModelParams, check, forward_logits, is_int, is_real, unique_named
 
 SCHEDULES = ("constant", "cosine")
 
@@ -42,6 +42,25 @@ class DivergenceError(RuntimeError):
 
 class StaleCacheError(RuntimeError):
     """Teacher logits (a cache or a live model) do not fit the data."""
+
+
+# The betas' range is checked once they are a tuple, so its message shows the tuple.
+TRAIN_RULES = {
+    "epochs": (("an integer >= 0", lambda v: is_int(v, 0)),),
+    "batch_size": (("an integer >= 1", lambda v: is_int(v, 1)),),
+    "eval_batch_size": (("an integer >= 1", lambda v: is_int(v, 1)),),
+    "seed": (INT,),
+    "lr": (NUMBER, ("> 0", lambda v: v > 0.0), FINITE),
+    "alpha": (NUMBER, ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)),
+    "tau": (NUMBER, ("finite and > 0", lambda v: 0.0 < v < np.inf)),
+    "eps_opt": (NUMBER, ("> 0", lambda v: v > 0.0), FINITE),
+    "weight_decay": (NUMBER, (">= 0", lambda v: v >= 0.0), FINITE),
+    "betas": (("two numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_real, v))),),
+    "tau_square_scaling": (("true or false", lambda v: isinstance(v, bool)),),
+    "grad_clip": (("a number or null", lambda v: v is None or is_real(v)),
+                  ("finite and positive when set", lambda v: v is None or 0.0 < v < np.inf)),
+    "schedule": ((f"one of {SCHEDULES}", lambda v: v in SCHEDULES),),
+}
 
 
 @dataclass
@@ -61,40 +80,10 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        for name, least in (("epochs", 0), ("batch_size", 1), ("eval_batch_size", 1), ("seed", None)):
-            v = getattr(self, name)
-            if not is_int(v, least):
-                raise TrainError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {v!r}")
-        for name in ("lr", "alpha", "tau", "eps_opt", "weight_decay"):
-            v = getattr(self, name)
-            if not is_real(v):
-                raise TrainError(f"{name} must be a number, got {v!r}")
-        if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2 and all(map(is_real, self.betas))):
-            raise TrainError(f"betas must be two numbers, got {self.betas!r}")
+        check(vars(self), TRAIN_RULES, TrainError)
         self.betas = tuple(self.betas)
-        if not isinstance(self.tau_square_scaling, bool):
-            raise TrainError(f"tau_square_scaling must be true or false, got {self.tau_square_scaling!r}")
-        if not (self.grad_clip is None or is_real(self.grad_clip)):
-            raise TrainError(f"grad_clip must be a number or null, got {self.grad_clip!r}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise TrainError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 < self.tau < np.inf:
-            raise TrainError(f"tau must be finite and > 0, got {self.tau}")
-        if self.schedule not in SCHEDULES:
-            raise TrainError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
             raise TrainError(f"betas must be in [0, 1), got {self.betas}")
-        if not (self.grad_clip is None or 0.0 < self.grad_clip < np.inf):
-            raise TrainError(f"grad_clip must be finite and positive when set, got {self.grad_clip}")
-        if not self.lr > 0.0:
-            raise TrainError(f"lr must be > 0, got {self.lr}")
-        if not self.weight_decay >= 0.0:
-            raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not self.eps_opt > 0.0:
-            raise TrainError(f"eps_opt must be > 0, got {self.eps_opt}")
-        for name in ("lr", "eps_opt", "weight_decay"):  # signs are checked above, so only +inf is left
-            if getattr(self, name) == np.inf:
-                raise TrainError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # ---- losses ------------------------------------------------------------------

@@ -64,6 +64,28 @@ def is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# A config rule is an ordered tuple of (what, test) pairs; the first test a
+# value fails names it: "<key> must be <what>, got <value>". A later test may
+# rely on the earlier ones having passed. These pairs are shared by sections.
+NUMBER = ("a number", is_real)
+FINITE = ("finite", lambda v: abs(v) < np.inf)
+INT = ("an integer", is_int)
+SIZE = (f"a positive integer no larger than {MAX_SIZE}", is_size)
+
+
+def check(values: dict, rules: dict, error: type[Exception], where: str = "") -> None:
+    """Raise ``error`` at the first rule pair a present value fails, in the rules' order."""
+    for key, rule in rules.items():
+        for what, test in rule:
+            if key in values and not test(values[key]):
+                raise error(f"{where}{key} must be {what}, got {values[key]!r}")
+
+
+MODEL_RULES = {"image_size": (SIZE,), "patch_size": (SIZE,), "channels": (SIZE,), "depth": (SIZE,),
+               "width": (SIZE,), "heads": (SIZE,), "classes": (SIZE,),
+               "mlp_ratio": (("a finite number", lambda v: is_real(v) and abs(v) < np.inf),)}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int
@@ -76,12 +98,7 @@ class ModelConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "channels", "depth", "width", "heads", "classes"):
-            v = getattr(self, name)
-            if not is_size(v):
-                raise ConfigError(f"{name} must be a positive integer no larger than {MAX_SIZE}, got {v!r}")
-        if not (is_real(self.mlp_ratio) and abs(self.mlp_ratio) < np.inf):
-            raise ConfigError(f"mlp_ratio must be a finite number, got {self.mlp_ratio!r}")
+        check(vars(self), MODEL_RULES, ConfigError)
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.width % self.heads != 0:

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import sws.cli
-from sws.cli import CliError, build_parser, load_config, main
+from sws.cli import _SOURCE_RULES, _SPLIT_RULES, CliError, build_parser, load_config, main
 from sws.data import DataError, IdxFormatError, make_synthetic
 from sws.expand import DEFAULT_ORDER, STRATEGIES, DescendantSpec, init_descendant, simple_lg_expand
 from sws.sharing import StagePlan, build_aux, extract_learngene
 from sws.store import (HeaderError, load, load_checkpoint, load_learngene, load_logit_cache, save,
                        save_checkpoint, save_learngene, save_logit_cache)
 from sws.tensor import NumericError
-from sws.train import DivergenceError, StaleCacheError, evaluate
-from sws.vit import MAX_SIZE, ModelConfig, build_model, count_params
+from sws.train import TRAIN_RULES, DivergenceError, StaleCacheError, evaluate
+from sws.vit import MAX_SIZE, MODEL_RULES, ModelConfig, build_model, count_params
 
 BASE = {
     "model": {"image_size": 8, "patch_size": 4, "channels": 1,
@@ -1019,6 +1019,43 @@ def test_exit_2_names_the_section_of_a_misshapen_config(tmp_path, capsys, argv, 
     out = tmp_path / "out"
     assert main([*argv(tmp_path), "--out", str(out)]) == 2
     assert section in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each value of the type-mutation probe that a key's rule rejects exits 2 with
+# that rule's message and leaves no --out; a key is covered once it is declared.
+PROBE_VALUES = [True, False, 1.5, 2.0, "x", None, [1], {}, float("nan"), float("inf"), -1, 0, 10 ** 30, -10 ** 30]
+RULE_TABLES = [("model.", "", MODEL_RULES), ("train.", "", TRAIN_RULES), ("data.", "data.", _SPLIT_RULES),
+               *((f"data.{kind}.", f"data.{kind}.", rules) for kind, rules in _SOURCE_RULES.items())]
+
+
+def _first_failure(rule, value):
+    return next((what for what, test in rule if not test(value)), None)
+
+
+@pytest.mark.parametrize("key, name, value, what", [
+    pytest.param(prefix + key, where + key, value, what, id=f"{prefix}{key}={json.dumps(value)}")
+    for prefix, where, rules in RULE_TABLES for key, rule in rules.items() for value in PROBE_VALUES
+    if (what := _first_failure(rule, value)) is not None])
+def test_every_value_a_rule_rejects_exits_2_naming_its_key(tmp_path, capsys, key, name, value, what):
+    cfg = (write_idx_config(tmp_path, {"images": "none.idx", "labels": "none.idx"}) if key.startswith("data.idx.")
+           else write_config(tmp_path))
+    out = tmp_path / "x"
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(out), "--set", f"{key}={json.dumps(value)}"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be {what}, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("plan, message", [
+    ({"stages": 0}, "plan.stages: the stage count must be a positive integer, got 0"),
+    ({"stages": 3}, "plan.stages: cannot split 2 layers into 3 stages"),
+    ({"sizes": "x"}, "plan.sizes: stage sizes must be a list of positive integers, got 'x'"),
+    ({"sizes": [1, 0]}, "plan.sizes: stage sizes must be positive integers, got (1, 0)"),
+], ids=["stages-zero", "stages-above-depth", "sizes-not-a-list", "sizes-zero"])
+def test_a_plan_error_names_its_key(tmp_path, capsys, plan, message):
+    out = tmp_path / "x"
+    assert main(["train-aux", "--config", str(_raw_config(tmp_path, {**BASE, "plan": plan})), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
