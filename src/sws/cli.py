@@ -99,10 +99,8 @@ def load_config(path, set_flags: list[str] | None = None, seed: int | None = Non
         raise CliError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: top level must be an object")
-    _apply_overrides(cfg, set_flags or [])
-    if seed is not None:
-        cfg.setdefault("train", {})["seed"] = seed
-    return cfg
+    seed_flag = [] if seed is None else [f"train.seed={seed}"]  # --seed N is --set train.seed=N, applied last
+    return _apply_overrides(cfg, [*(set_flags or []), *seed_flag])
 
 
 def _apply_overrides(cfg: dict, set_flags: list[str]) -> dict:
@@ -110,7 +108,9 @@ def _apply_overrides(cfg: dict, set_flags: list[str]) -> dict:
         node_path, value = _parse_override(flag)
         node = cfg
         for part in node_path[:-1]:
-            node = node.setdefault(part, {})
+            if node.get(part) is None:  # an absent or null section is empty
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise CliError(f"--set {flag!r}: {part!r} is not a section")
         node[node_path[-1]] = value

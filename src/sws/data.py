@@ -6,7 +6,7 @@ bounded per-pixel noise from a SplitMix64 stream seeded with (seed XOR t).
 The exact construction is part of the package contract: two runs (or two
 implementations following the same recipe) must produce bit-identical
 integer noise streams, so generation never touches a library RNG. The
-images are built once, in place, in whole arrays.
+images are built a block of samples at a time.
 
 An IDX dataset keeps the file's uint8 pixels as its rows. One routine reads a
 checked pair (``check_idx``) in a given row order, ``load_idx``'s file order or
@@ -197,50 +197,26 @@ def make_synthetic(n: int, classes: int, size: int, seed: int) -> Dataset:
     seed XOR t), one draw per pixel in row-major order, each 64-bit output
     mapped through its top 53 bits over 2**53.
 
-    The images are built in place, in whole arrays: at most three full-size
-    intermediates at once (the float64 phase that becomes the base image, the
-    uint64 draws and the float64 noise) besides the float32 result. Each step
-    is the recipe's own IEEE operation, so every bit is that of the formula
-    above.
+    The recipe runs on one block of samples at a time, written straight into
+    the float32 images. Each op is the formula's own IEEE operation, applied
+    elementwise per sample, so every bit is the formula's whatever the block.
     """
     if n < 1 or classes < 1 or size < 1:
         raise DataError(f"need n, classes, size >= 1, got {n}, {classes}, {size}")
     labels = np.arange(n, dtype=np.int64) % classes
-    c = labels.astype(np.float64)
-    freq_i = 1.0 + c
-    freq_j = 1.0 + ((3 * labels) % classes).astype(np.float64)
-
     ii, jj = np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij")
-    # One allocation for two of the three full-size arrays. Freeing it raises
-    # glibc's dynamic mmap and trim thresholds to its size, so a later forward
-    # pass reuses its heap instead of trimming and re-faulting it.
-    base, scratch = np.empty((2, n, size, size))  # phase then base image; a product, then the draws
-    np.multiply(freq_i[:, None, None], ii, out=base)
-    np.multiply(freq_j[:, None, None], jj, out=scratch)
-    base += scratch
-    base /= size
-    base *= 2.0 * np.pi
-    np.sin(base, out=base)
-    base *= 0.35
-    base += 0.5
-
-    # Per-sample streams, all samples and pixels in one vectorized pass:
-    # draw k of stream t is finalize((seed ^ t) + k * GAMMA), k = 1..S*S.
-    seeds = np.uint64(seed & MASK64) ^ np.arange(n, dtype=np.uint64)
-    ks = np.arange(1, size * size + 1, dtype=np.uint64)
-    z = np.add(seeds[:, None], ks * np.uint64(GAMMA), out=scratch.view(np.uint64).reshape(n, -1))
-    _finalize64_np(z)
-    z >>= np.uint64(11)
-    noise = z.astype(np.float64)  # u = 2 (top 53 bits / 2**53) - 1, then 0.15 u
-    noise /= float(1 << 53)
-    noise *= 2.0
-    noise -= 1.0
-    noise *= 0.15
-    base += noise.reshape(n, size, size)
-    del noise
-
-    np.clip(base, 0.0, 1.0, out=base)
-    images = base.astype(np.float32)[:, None, :, :]
+    steps = np.arange(1, size * size + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    images = np.empty((n, 1, size, size), np.float32)
+    rows = max(1, _CHUNK // (8 * size * size))
+    for start in range(0, n, rows):
+        c = labels[start:start + rows, None, None]
+        phase = (1.0 + c.astype(np.float64)) * ii + (1.0 + (3 * c % classes).astype(np.float64)) * jj
+        base = np.sin(phase / size * (2.0 * np.pi)) * 0.35 + 0.5
+        # Draw k of stream t is finalize((seed ^ t) + k * GAMMA), k = 1..S*S; u = 2 (top 53 bits / 2**53) - 1.
+        t = np.arange(start, start + len(c), dtype=np.uint64)[:, None]
+        z = _finalize64_np((np.uint64(seed & MASK64) ^ t) + steps) >> np.uint64(11)
+        base += ((z.astype(np.float64) / float(1 << 53) * 2.0 - 1.0) * 0.15).reshape(base.shape)
+        images[start:start + rows, 0] = np.clip(base, 0.0, 1.0)
     return Dataset(images=images, labels=labels, num_classes=classes,
                    source=f"synthetic(n={n},classes={classes},size={size},seed={seed})")
 

@@ -90,8 +90,12 @@ class SplitMix64:
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
 
     def truncated_normal(self, shape, std: float = 1.0, bound: float = 2.0) -> np.ndarray:
-        """Normal(0, std) with draws outside bound*sigma rejected and redrawn."""
-        size = int(np.prod(shape)) if shape else 1
+        """Normal(0, std) with draws outside bound*sigma rejected and redrawn.
+
+        A shape of more elements than numpy can index is a MemoryError."""
+        size = np.prod(shape, dtype=object)  # Python ints: an int64 product wraps past 2**63 - 1
+        if size > np.iinfo(np.intp).max:
+            raise MemoryError(f"shape {tuple(shape)} holds {size} values, more than numpy can index")
         kept: list[np.ndarray] = [np.empty(0)]  # a zero-size shape draws nothing
         need = size
         while need > 0:

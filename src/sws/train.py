@@ -27,7 +27,7 @@ from . import tensor as T
 from .data import Dataset, batch_iter
 from .rng import derive_seed
 from .tensor import Tensor, backward
-from .vit import FINITE, INT, NUMBER, ModelParams, check, forward_logits, is_int, is_real, unique_named
+from .vit import FINITE, INT, MAX_SIZE, NUMBER, ModelParams, check, forward_logits, is_int, is_real, unique_named
 
 SCHEDULES = ("constant", "cosine")
 
@@ -46,7 +46,7 @@ class StaleCacheError(RuntimeError):
 
 # The betas' range is checked once they are a tuple, so its message shows the tuple.
 TRAIN_RULES = {
-    "epochs": (("an integer >= 0", lambda v: is_int(v, 0)),),
+    "epochs": ((f"an integer from 0 to {MAX_SIZE}", lambda v: is_int(v, 0) and v <= MAX_SIZE),),
     "batch_size": (("an integer >= 1", lambda v: is_int(v, 1)),),
     "eval_batch_size": (("an integer >= 1", lambda v: is_int(v, 1)),),
     "seed": (INT,),
@@ -330,16 +330,17 @@ def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg:
         loss_sum = 0.0
         shuffle_seed = derive_seed(cfg.seed, epoch)
         for images, labels, idx in batch_iter(train_data, cfg.batch_size, shuffle_seed):
-            logits = forward_logits(model, Tensor(images))
-            t_rows = Tensor(teacher.logits[idx]) if cfg.alpha > 0.0 else None
-            loss = loss_total(logits, labels, t_rows, cfg)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, step {step + 1}")
-            loss_sum += value * len(labels)
-            seen += len(labels)
-            backward(loss)
-            opt.step(lr_at(cfg, step, total_steps))
+            with np.errstate(all="ignore"):  # overflow is a non-finite loss or gradient, checked below
+                logits = forward_logits(model, Tensor(images))
+                t_rows = Tensor(teacher.logits[idx]) if cfg.alpha > 0.0 else None
+                loss = loss_total(logits, labels, t_rows, cfg)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, step {step + 1}")
+                loss_sum += value * len(labels)
+                seen += len(labels)
+                backward(loss)
+                opt.step(lr_at(cfg, step, total_steps))
             opt.zero_grad()
             del logits, t_rows, loss  # frees this step's graph before the next forward builds one
             step += 1

@@ -34,6 +34,14 @@ INIT_STD = 0.02
 # the machine, so the logits do not depend on the host.
 ROW_BLOCK_BYTES = 3 << 18
 
+# The heap policy, applied once per process at import: freeing one array of
+# this size raises glibc's dynamic mmap threshold to it (and the trim threshold
+# to twice it), so row-block activations reuse heap the process keeps instead
+# of faulting in fresh mmaps (a 1280-image depth sweep: ~400k minor faults per
+# command without it). At import it stays outside any later tracemalloc window.
+HEAP_THRESHOLD_BYTES = 8 << 20
+np.empty(HEAP_THRESHOLD_BYTES, np.uint8)
+
 # OpenBLAS's thread-count controls, (get, set) names, most specific build first.
 _OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
@@ -374,9 +382,13 @@ def _row_blocks(params: ModelParams, blocks: list[Tensor]) -> list[np.ndarray]:
     blocks gain little and a second thread costs its own heap), when the
     process may use only one CPU, or without OpenBLAS's thread controls. If
     a block raises, the other half is waited for and the thread count
-    restored before the error propagates."""
+    restored before the error propagates. Each lane runs with numpy's
+    floating-point warnings off (``np.errstate`` does not reach the helper
+    thread from the caller): a non-finite value is an error only where the
+    caller checks it, as ``softmax_rows`` and the losses do."""
     def run(part):
-        return [_logits(params, b).data for b in part]
+        with np.errstate(all="ignore"):
+            return [_logits(params, b).data for b in part]
 
     blas = openblas_threads() if len(blocks) > 2 and _usable_cpus() > 1 else None
     if blas is None:

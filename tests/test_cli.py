@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,7 @@ def test_exit_2_when_finetune_lacks_teacher(tmp_path, capsys):
 
 def _save_pack(path):
     save_learngene(extract_learngene(build_aux(ModelConfig(**BASE["model"]), StagePlan((1, 1)), seed=0)), path)
+    return path
 
 
 def test_exit_4_on_wrong_shaped_or_extra_tensor(tmp_path):
@@ -700,6 +702,54 @@ def test_eval_records_the_seed_flag(tmp_path):
     assert main(["eval", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt),
                  "--seed", "9", "--out", str(out)]) == 0
     assert '"seed":9' in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("flags, filled", [([], None), (["--seed", "9"], {"seed": 9}),
+                                           (["--set", "train.eval_batch_size=7"], {"eval_batch_size": 7})],
+                         ids=["no-flag", "seed", "set"])
+@pytest.mark.parametrize("train", [None, 5, []], ids=["null", "five", "list"])
+def test_a_train_section_that_is_not_an_object(tmp_path, capsys, flags, filled, train):
+    # A null section is empty, also to --seed and --set; any other non-object exits 2 naming it.
+    ckpt, out = tmp_path / "m.sws", tmp_path / "e"
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), ckpt)
+    argv = ["eval", "--config", str(write_config(tmp_path, train=train)), "--checkpoint", str(ckpt), *flags]
+    assert main([*argv, "--out", str(out)]) == (0 if train is None else 2)
+    if train is None:
+        assert f'"train":{json.dumps(filled, separators=(",", ":"))}' in (out / "manifest.txt").read_text()
+    else:
+        assert "'train'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("warning_filter", ["error", "always"])
+@pytest.mark.parametrize("argv", [
+    lambda p: ["eval", "--config", str(write_config(p)), "--checkpoint", str(_overflowing_checkpoint(p / "huge.sws"))],
+    lambda p: ["train-teacher", "--config", str(write_config(p)), "--set", "train.lr=1e30"],
+], ids=["eval-overflow", "teacher-lr-1e30"])
+def test_a_numeric_fault_exits_5_with_only_the_error_line(tmp_path, capsys, argv, warning_filter):
+    # Under both filters: a warning neither turns into exit 1 nor reaches stderr.
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        assert main([*argv(tmp_path), "--out", str(out)]) == 5
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["init-des", "--pack", str(_save_pack(p / "g.sws")), "--depth", "2", "--classes", str(2**62)],
+    lambda p: ["train-teacher", "--config", str(write_config(p)), "--set", f"model.classes={2**62}"],
+], ids=["init-des-classes", "set-model-classes"])
+def test_exit_2_out_of_memory_on_a_head_past_numpy_index_range(tmp_path, capsys, argv):
+    # width x 2**62 head weights: np.prod would wrap the count to 0.
+    out = tmp_path / "x"
+    assert main([*argv(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: a size in the config or its inputs is too large")
+    assert "more than numpy can index" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("classes", [5, 2], ids=["more-classes-than-data", "fewer-classes-than-data"])

@@ -155,6 +155,28 @@ def test_synthetic_builds_its_images_in_at_most_three_full_size_arrays():
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over a bound of {bound / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("n, size", [(1280, 16), (60000, 12)], ids=["depth-sweep-size", "large-n"])
+def test_synthetic_peaks_at_its_images_plus_a_block(n, size):
+    make_synthetic(4, 2, 4, seed=0)  # first-call allocations stay outside the trace
+    tracemalloc.start()
+    try:
+        ds = make_synthetic(n, 10, size, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = ds.rows.nbytes + (4 << 20)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over a bound of {bound / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("args, digest", [((1, 1, 1, 0), 0xFEECCDFFCFCA34EB),
+                                          ((3, 2, 100, 11), 0x72E7869B18DA1323),  # one sample per block
+                                          ((57, 1000, 33, -5), 0x60AFF9A56F52837E),
+                                          ((333, 7, 13, 2**64 - 1), 0xA98D2B40FEDCCD9F)])
+def test_synthetic_bits_do_not_depend_on_the_block(args, digest):
+    # Digests of the whole-array recipe, across block edges and odd sizes.
+    assert make_synthetic(*args).content_hash == digest
+
+
 def test_synthetic_validates_arguments():
     with pytest.raises(DataError):
         make_synthetic(0, 3, 4, seed=0)

@@ -108,6 +108,13 @@ def test_truncated_normal_of_a_zero_size_shape_is_empty():
     assert np.array_equal(rng.truncated_normal((5,)), SplitMix64(7).truncated_normal((5,)))  # drew nothing
 
 
+@pytest.mark.parametrize("shape", [(8, 2**62), (2**32, 2**32), (3, 2**62 + 1)])
+def test_truncated_normal_past_numpy_index_range_is_a_memory_error(shape):
+    # np.prod wraps these to 0, 0 and a negative count.
+    with pytest.raises(MemoryError, match="more than numpy can index"):
+        SplitMix64(7).truncated_normal(shape)
+
+
 def test_truncated_normal_scales_by_std():
     base = SplitMix64(7).truncated_normal((30,), std=1.0)
     scaled = SplitMix64(7).truncated_normal((30,), std=0.5)

@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 
@@ -567,3 +569,42 @@ def test_every_graph_free_batch_runs_through_the_row_blocks(monkeypatch, batch):
     assert calls == [[batch]] and free.shape == (batch, TINY.classes)
     assert np.array_equal(free.data, forward_logits(params, Tensor(x)).data)  # a graph pass, not split
     assert calls == [[batch]]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is about glibc's malloc")
+def test_evaluate_after_an_idx_split_reuses_its_heap(tmp_path):
+    # An IDX split frees nothing large enough to move glibc's mmap threshold, so
+    # only the policy applied at import keeps the row blocks off fresh mmaps.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sws
+
+    src = str(Path(sws.__file__).resolve().parents[1])
+    code = f"""
+import resource, struct, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from sws.data import check_idx, split
+from sws.train import evaluate
+from sws.vit import ModelConfig, build_model
+
+n, images, labels = 1280, {str(tmp_path / "images.idx")!r}, {str(tmp_path / "labels.idx")!r}
+with open(images, "wb") as fh:
+    pixels = np.random.default_rng(0).integers(0, 256, n * 256, np.uint8)
+    fh.write(struct.pack(">IIII", 0x803, n, 16, 16) + pixels.tobytes())
+with open(labels, "wb") as fh:
+    fh.write(struct.pack(">II", 0x801, n) + (np.arange(n) % 10).astype(np.uint8).tobytes())
+_, val = split(check_idx(images, labels), 0.8, 1)
+model = build_model(ModelConfig(image_size=16, patch_size=4, channels=1, depth=12, width=128, heads=4, classes=10), 1)
+evaluate(model, val, 256)  # warm-up
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate(model, val, 256)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) < 2000, f"{out.stdout.strip()} minor page faults in one evaluate"
