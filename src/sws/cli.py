@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__
 from .data import Dataset, IdxFormatError, check_idx, fnv1a64, make_synthetic, split
 from .data import load_idx  # noqa: F401 -- perfbench/tracer.py patches sws.cli.load_idx
-from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, expansion, init_descendant,
-                     pack_from_vanilla, write_assignment_csv)
-from .expand import simple_lg_expand  # noqa: F401 -- perfbench/tracer.py patches sws.cli.simple_lg_expand
+from .expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, InitOrder, expansion, pack_from_vanilla,
+                     write_assignment_csv)
+from .expand import init_descendant, simple_lg_expand  # noqa: F401 -- perfbench/tracer.py patches both in sws.cli
 from .sharing import PlanError, balanced_plan, build_aux, custom_plan, extract_learngene
 from .store import (StoreError, load_checkpoint, load_learngene, load_logit_cache, save_checkpoint,
                     save_learngene, save_logit_cache)
@@ -324,8 +324,9 @@ def cmd_init_des(args) -> Run:
     spec = DescendantSpec(depth=args.depth, strategy=args.strategy,
                           order=InitOrder.parse(args.order), seed=args.des_seed,
                           classes=args.classes)
-    model, report = init_descendant(pack, spec)
-    print(f"descendant: depth={args.depth} strategy={spec.strategy} params={count_params(model):,}")
+    model, report = expansion(pack, spec)  # saved as is: an untied checkpoint stores every position's set
+    print(f"descendant: depth={args.depth} strategy={spec.strategy} "
+          f"params={count_params(model, unique_only=False):,}")
     provenance = {"command": "init-des", "pack": str(args.pack), "strategy": spec.strategy,
                   "order": str(spec.order), "seed": spec.seed}
     resolved = {"pack": str(args.pack), "depth": args.depth, "strategy": spec.strategy,

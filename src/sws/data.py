@@ -176,7 +176,7 @@ class Dataset:
 
     @images.setter
     def images(self, images: np.ndarray) -> None:
-        self.rows = images
+        self.rows, self._hash = images, None
 
     @property
     def content_hash(self) -> int:

@@ -8,9 +8,9 @@ interleaving and a seeded random pick per position.
 
 An expansion is a view of the pack: each position holds the pack's own stage
 set, and the shared tensors are the pack's, so a model of any depth costs no
-parameter copies. Evaluating views is how ``sweep-depth`` compares depths.
-A descendant is the owned copy of that view: every position owns its
-tensors, so fine-tuning can specialize positions independently.
+parameter copies. ``sweep-depth`` evaluates views and ``init-des`` saves one.
+An untied checkpoint stores one layer set per position, so a loaded descendant
+fine-tunes each position on its own. ``init_descendant`` is the owned copy.
 """
 
 from __future__ import annotations

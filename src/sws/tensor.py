@@ -177,33 +177,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---- arithmetic -------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcast(op: str, fn, a: Tensor, b: Tensor, grads) -> Tensor:
+    """``fn`` on the data under numpy broadcasting, the one rule of add, sub and mul.
+    ``grads(g)`` gives both gradients at the result's shape, summed back to each operand's."""
     _check_dtypes(a, b)
     try:
-        out = a.data + b.data
+        out = fn(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-    return Tensor._result(out, (a, b), lambda g: [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)])
+        raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from None
+    return Tensor._result(out, (a, b), lambda g: [_unbroadcast(d, p.shape) for p, d in zip((a, b), grads(g))])
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _broadcast("add", np.add, a, b, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
-    return Tensor._result(out, (a, b), lambda g: [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)])
+    return _broadcast("sub", np.subtract, a, b, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
-    return Tensor._result(
-        out, (a, b), lambda g: [_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)]
-    )
+    return _broadcast("mul", np.multiply, a, b, lambda g: (g * b.data, g * a.data))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -276,13 +270,12 @@ def index_axis(a: Tensor, axis: int, i: int) -> Tensor:
     """Select index i along an axis, dropping that axis."""
     if not (-a.data.ndim <= axis < a.data.ndim):
         raise ShapeError(f"index_axis: axis {axis} out of range for shape {a.shape}")
-    out = a.data[(slice(None),) * (axis % a.data.ndim) + (i,)]
+    at = (slice(None),) * (axis % a.data.ndim) + (i,)
+    out = a.data[at]
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = i
-        full[tuple(sl)] = g
+        full[at] = g
         return [full]
 
     return Tensor._result(np.ascontiguousarray(out), (a,), vjp)

@@ -8,7 +8,8 @@ import pytest
 import sws.cli
 from sws.cli import _SOURCE_RULES, _SPLIT_RULES, CliError, build_parser, load_config, main
 from sws.data import DataError, IdxFormatError, make_synthetic
-from sws.expand import DEFAULT_ORDER, STRATEGIES, DescendantSpec, init_descendant, simple_lg_expand
+from sws.expand import (DEFAULT_ORDER, STRATEGIES, DescendantSpec, init_descendant, simple_lg_expand,
+                        write_assignment_csv)
 from sws.sharing import StagePlan, build_aux, extract_learngene
 from sws.store import (HeaderError, load, load_checkpoint, load_learngene, load_logit_cache, save,
                        save_checkpoint, save_learngene, save_logit_cache)
@@ -641,6 +642,48 @@ def test_sweep_depth_memory_does_not_grow_with_depth(tmp_path):
     descendant_bytes = sum(t.data.nbytes for _, t in descendant.named_tensors())
     grown = traced_peak("4,12") - traced_peak("4")
     assert grown < descendant_bytes, f"peak grew {grown} bytes; a depth-4 descendant holds {descendant_bytes}"
+
+
+def _save_deep_pack(path, width=8):
+    cfg = ModelConfig(**{**BASE["model"], "depth": 4, "width": width})
+    save_learngene(extract_learngene(build_aux(cfg, StagePlan((2, 2)), seed=0)), path)
+    return path
+
+
+@pytest.mark.parametrize("classes", [None, 5])
+@pytest.mark.parametrize("depth", [3, 4, 7])  # below, at and above the pack's depth of 4
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_init_des_writes_the_bytes_of_the_owned_descendant(tmp_path, capsys, strategy, depth, classes):
+    pack, out, ref = _save_deep_pack(tmp_path / "g.sws"), tmp_path / "d", tmp_path / "ref"
+    owned, report = init_descendant(load_learngene(pack), DescendantSpec(depth, strategy, seed=4, classes=classes))
+    ref.mkdir()
+    save_checkpoint(owned, ref / "descendant.sws", provenance={
+        "command": "init-des", "pack": str(pack), "strategy": strategy, "order": str(DEFAULT_ORDER), "seed": 4})
+    write_assignment_csv(report, ref / "assignment.csv")
+
+    argv = ["init-des", "--pack", str(pack), "--depth", str(depth), "--strategy", strategy, "--des-seed", "4"]
+    assert main([*argv, *(["--classes", str(classes)] if classes else []), "--out", str(out)]) == 0
+    for name in ("descendant.sws", "assignment.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert capsys.readouterr().out == f"descendant: depth={depth} strategy={strategy} params={count_params(owned):,}\n"
+
+
+def test_init_des_peak_holds_no_copy_of_the_descendant(tmp_path):
+    pack = _save_deep_pack(tmp_path / "g.sws", width=64)
+
+    def init_des(out):
+        assert main(["init-des", "--pack", str(pack), "--depth", "16", "--out", str(tmp_path / out)]) == 0
+
+    init_des("warm")  # one-time set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        init_des("d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The manifest hash reads the written file whole; a copy of the descendant would add as much again.
+    bound = pack.stat().st_size + 1.5 * (tmp_path / "d" / "descendant.sws").stat().st_size
+    assert peak < bound, f"init-des peaked at {peak} bytes, bound {bound:.0f}"
 
 
 def _overflowing_checkpoint(path):

@@ -18,6 +18,7 @@ from sws.data import (
     split,
 )
 from sws.rng import SplitMix64
+from sws.train import LogitCache, StaleCacheError
 
 
 # ---- hashing ---------------------------------------------------------------------
@@ -70,6 +71,16 @@ def test_content_hash_ignores_byte_order_and_layout():
         other = Dataset(images=ds.images, labels=ds.labels, num_classes=3, source="x")
         other.images = images  # big-endian images fail validation, so swap them in afterwards
         assert other.content_hash == ds.content_hash
+
+
+def test_assigning_images_drops_the_cached_content_hash():
+    ds, other = make_synthetic(40, 3, 4, 1), make_synthetic(40, 3, 4, 2)
+    cache = LogitCache(logits=np.zeros((40, 3), np.float32), dataset_hash=ds.content_hash)
+    assert ds.content_hash == 0x7CD65A8E449982C5
+    ds.images = other.images  # same labels, other pixels
+    assert ds.content_hash == other.content_hash == 0xC63828BC13960CE2
+    with pytest.raises(StaleCacheError, match="dataset hash"):
+        cache.check(ds)
 
 
 def test_content_hash_makes_no_full_copy():
