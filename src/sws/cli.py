@@ -370,6 +370,9 @@ def cmd_sweep_depth(args) -> Run:
     order = InitOrder.parse(args.order)
     batch_size = train_config(cfg, _EVAL_ONLY).eval_batch_size
     tcfg = train_config(cfg, alpha=0.0, epochs=args.scratch_epochs) if args.scratch_epochs > 0 else None
+    if tcfg is None:  # only the validation rows are read: own them, and let the split's base go
+        train_data = None
+        val_data = Dataset(val_data.rows.copy(), val_data.labels.copy(), val_data.num_classes, val_data.source)
 
     # Each expansion is evaluated as a view of its pack, so no parameter is
     # copied; params counts every position, as the owned descendant holds.

@@ -155,6 +155,8 @@ class Dataset:
     that decode to float32 where they are read (``batch_iter``,
     ``content_hash``). ``images`` is always float32, so on uint8 rows it
     decodes the whole dataset; the pipeline reads ``rows`` instead.
+    Assigning ``rows``, ``labels`` or ``images`` clears the cached
+    ``content_hash``.
     """
 
     def __init__(self, images: np.ndarray, labels: np.ndarray, num_classes: int, source: str):
@@ -165,10 +167,25 @@ class Dataset:
         if images.shape[0] == 0:
             raise DataError("empty dataset")
         self.rows, self.labels, self.num_classes, self.source = images, labels, num_classes, source
-        self._hash: int | None = None
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: np.ndarray) -> None:
+        self._rows, self._hash = rows, None
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    @labels.setter
+    def labels(self, labels: np.ndarray) -> None:
+        self._labels, self._hash = labels, None
 
     @property
     def images(self) -> np.ndarray:
@@ -176,7 +193,7 @@ class Dataset:
 
     @images.setter
     def images(self, images: np.ndarray) -> None:
-        self.rows, self._hash = images, None
+        self.rows = images
 
     @property
     def content_hash(self) -> int:

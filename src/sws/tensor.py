@@ -389,10 +389,14 @@ def _horner(x: np.ndarray, coef: Sequence[float], out: np.ndarray, monic: bool =
     return out
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    """erf in x's dtype, computed in float64 as Cephes does, one block at a time."""
+def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """erf in x's dtype, computed in float64 as Cephes does, one block at a time.
+
+    ``out``, a C-contiguous array of x's shape and dtype, receives the result
+    when given; it may be x itself, since each block is read into float64
+    scratch before its results are written."""
     flat = x.ravel()
-    res = np.empty(flat.size, dtype=x.dtype)
+    res = np.empty(flat.size, dtype=x.dtype) if out is None else out.reshape(-1)
     n = min(flat.size, _ERF_BLOCK)
     xs, zs, num, den = (np.empty(n) for _ in range(4))
     with np.errstate(all="ignore"):  # inf and NaN pass through without warnings
@@ -428,7 +432,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Exact gelu, x * Phi(x) with the Gaussian CDF via erf."""
     x = a.data
-    phi_cdf = _erf(x * x.dtype.type(_INV_SQRT2))
+    phi_cdf = x * x.dtype.type(_INV_SQRT2)
+    phi_cdf = _erf(phi_cdf, out=phi_cdf)  # in place: no second array of x's size
     phi_cdf += 1.0
     phi_cdf *= 0.5
     out = x * phi_cdf

@@ -324,7 +324,8 @@ def _patchify(images: Tensor, cfg: ModelConfig) -> Tensor:
     return T.reshape(x, (b, cfg.num_patches, cfg.patch_dim))
 
 
-def _block(x: Tensor, lp: LayerParams, cfg: ModelConfig, b: int, n: int) -> Tensor:
+def _attention(x: Tensor, lp: LayerParams, cfg: ModelConfig, b: int, n: int) -> Tensor:
+    """A block's attention branch, out_proj(attention(ln1(x))), before its residual add."""
     d, h, dh = cfg.width, cfg.heads, cfg.head_dim
 
     hsa = T.layer_norm(x, lp.ln1_g, lp.ln1_b, LN_EPS)
@@ -339,11 +340,21 @@ def _block(x: Tensor, lp: LayerParams, cfg: ModelConfig, b: int, n: int) -> Tens
     att = T.softmax_rows(att)
     o = T.matmul(att, v)                                    # (B, h, N, dh)
     o = T.reshape(T.permute(o, (0, 2, 1, 3)), (b, n, d))
-    x = T.add(x, T.add(T.matmul(o, lp.out_w), lp.out_b))
+    return T.add(T.matmul(o, lp.out_w), lp.out_b)
 
+
+def _mlp(x: Tensor, lp: LayerParams) -> Tensor:
+    """A block's MLP branch, down(gelu(up(ln2(x)))), before its residual add."""
     hmlp = T.layer_norm(x, lp.ln2_g, lp.ln2_b, LN_EPS)
     hmlp = T.gelu(T.add(T.matmul(hmlp, lp.up_w), lp.up_b))
-    return T.add(x, T.add(T.matmul(hmlp, lp.down_w), lp.down_b))
+    return T.add(T.matmul(hmlp, lp.down_w), lp.down_b)
+
+
+def _block(x: Tensor, lp: LayerParams, cfg: ModelConfig, b: int, n: int) -> Tensor:
+    # Each branch's temporaries are locals of its own frame, so a graph-free
+    # forward frees the attention's before the MLP allocates its widest arrays.
+    x = T.add(x, _attention(x, lp, cfg, b, n))
+    return T.add(x, _mlp(x, lp))
 
 
 def forward_logits(params: ModelParams, images: Tensor) -> Tensor:

@@ -594,6 +594,29 @@ def test_sweep_depth_honours_eval_batch_size(tmp_path, monkeypatch):
     assert seen == [7] * 6
 
 
+def test_sweep_depth_without_scratch_models_evaluates_owned_validation_rows(tmp_path, monkeypatch):
+    pack, vanilla = tmp_path / "g.sws", tmp_path / "v.sws"
+    _save_pack(pack)
+    save_checkpoint(build_model(ModelConfig(**BASE["model"]), seed=1), vanilla)
+    cfg = write_config(tmp_path)
+    _, val = sws.cli.datasets_from(json.loads(cfg.read_text()))
+    seen = []
+    evaluate = sws.cli.evaluate
+
+    def spy(model, data, batch_size=256):
+        seen.append(data)
+        return evaluate(model, data, batch_size)
+
+    monkeypatch.setattr(sws.cli, "evaluate", spy)
+    assert main(["sweep-depth", "--config", str(cfg), "--out", str(tmp_path / "s"), "--pack", str(pack),
+                 "--vanilla", str(vanilla), "--depths", "2,3"]) == 0
+    assert len(seen) == 4
+    for data in seen:  # no view into the split's shared base, which holds the train rows too
+        assert data.rows.base is None and data.labels.base is None
+        assert np.array_equal(data.rows, val.rows) and np.array_equal(data.labels, val.labels)
+        assert data.content_hash == val.content_hash
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sweep_depth_evaluates_views_with_the_bytes_of_owned_descendants(tmp_path, monkeypatch, strategy):
     pack_path, vanilla_path, out = tmp_path / "g.sws", tmp_path / "v.sws", tmp_path / "s"

@@ -83,6 +83,20 @@ def test_assigning_images_drops_the_cached_content_hash():
         cache.check(ds)
 
 
+@pytest.mark.parametrize("attr", ["rows", "labels"])
+def test_assigning_rows_or_labels_drops_the_cached_content_hash(attr):
+    ds, other = make_synthetic(40, 3, 4, 1), make_synthetic(40, 3, 4, 2)
+    cache = LogitCache(logits=np.zeros((40, 3), np.float32), dataset_hash=ds.content_hash)
+    assert ds.content_hash == 0x7CD65A8E449982C5
+    setattr(ds, attr, other.rows if attr == "rows" else (ds.labels + 1) % 3)
+    fresh = Dataset(images=ds.rows, labels=ds.labels, num_classes=3, source="x").content_hash
+    assert ds.content_hash == fresh != 0x7CD65A8E449982C5
+    if attr == "rows":  # same labels, other pixels
+        assert fresh == other.content_hash == 0xC63828BC13960CE2
+    with pytest.raises(StaleCacheError, match="dataset hash"):
+        cache.check(ds)
+
+
 def test_content_hash_makes_no_full_copy():
     images = np.random.default_rng(0).random((2560, 1, 32, 32), dtype=np.float32)  # 10 MiB
     ds = Dataset(images=images, labels=np.arange(2560) % 10, num_classes=10, source="x")

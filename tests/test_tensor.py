@@ -385,15 +385,20 @@ ERF32_GOLDEN = [
 ]
 
 
-def test_erf_matches_scipy_bit_for_bit():
-    special = pytest.importorskip("scipy.special")
-    # Every 4099th float32 bit pattern, +-64 ulps around +-1 and +-8, subnormals, +-0, +-inf.
+def erf_inputs() -> np.ndarray:
+    """Every 4099th float32 bit pattern (NaNs included), +-64 ulps around +-1
+    and +-8, subnormals, +-0, +-inf."""
     strided = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32)
     edges = [np.float32(v).view(np.uint32) for v in (1.0, 8.0, -1.0, -8.0)]
     near = np.concatenate([np.arange(int(e) - 64, int(e) + 65, dtype=np.uint32) for e in edges])
     sub = np.concatenate([np.arange(0, 4096, dtype=np.uint32), np.arange(0x007FF000, 0x00800000, dtype=np.uint32)])
     special_bits = np.array([0x7F800000, 0xFF800000], dtype=np.uint32)
-    x = np.concatenate([strided, near, sub, sub | np.uint32(0x80000000), special_bits]).view(np.float32)
+    return np.concatenate([strided, near, sub, sub | np.uint32(0x80000000), special_bits]).view(np.float32)
+
+
+def test_erf_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    x = erf_inputs()
     x = x[~np.isnan(x)]
     got, want = T._erf(x), special.erf(x)
     assert got.dtype == np.float32
@@ -426,6 +431,19 @@ def test_erf_spans_several_blocks():
     parts = np.concatenate([T._erf(x[i:i + 1000]) for i in range(0, x.size, 1000)])
     assert np.array_equal(whole.view(np.uint32), parts.view(np.uint32))
     assert T._erf(np.zeros((0, 3), np.float32)).shape == (0, 3)
+
+
+def test_erf_written_over_its_input_gives_the_same_bits():
+    golden = np.array([i for i, _ in ERF32_GOLDEN], dtype=np.uint32).view(np.float32)
+    # Several blocks: each is read into scratch before its results overwrite it.
+    for x in (golden, erf_inputs(), rnd(3 * T._ERF_BLOCK + 5, 43, scale=3.0)):
+        want = T._erf(x)
+        y = x.copy()
+        got = T._erf(y, out=y)
+        assert np.shares_memory(got, y)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    y = golden.reshape(23, 1).copy()
+    assert T._erf(y, out=y).shape == (23, 1)
 
 
 def test_erf_nan_passes_through_quietly():

@@ -1,4 +1,5 @@
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,27 @@ def test_row_block_size_fits_the_widest_activation():
     assert row_block_size(many_tokens, 4) == ROW_BLOCK_BYTES // (257 * 2 * 257 * 4)  # attention scores
     huge = ModelConfig(image_size=64, patch_size=2, channels=1, depth=1, width=1024, heads=4, classes=3)
     assert row_block_size(huge, 4) == 1
+
+
+def test_a_graph_free_row_block_holds_only_the_arrays_it_will_read():
+    import sws.vit as vit
+
+    cfg = ModelConfig(image_size=16, patch_size=4, channels=1, depth=2, width=128, heads=4, classes=10)
+    model = build_model(cfg, seed=5).detach()
+    rows = row_block_size(cfg, 4)
+    x = Tensor(images_for(cfg, rows, seed=1))
+    vit._logits(model, x)  # warm-up: one-time set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        vit._logits(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # gelu's input, its CDF and its output are the widest arrays alive at once;
+    # erf adds four float64 scratch blocks, and the rest is far narrower.
+    widest = rows * 17 * 512 * 4  # tokens x mlp_dim x float32
+    bound = 3 * widest + 4 * T._ERF_BLOCK * 8 + (256 << 10)
+    assert rows == 22 and peak < bound, f"one row block peaked at {peak} bytes, bound {bound}"
 
 
 def test_graph_free_forward_runs_in_row_blocks_bit_for_bit(monkeypatch):
