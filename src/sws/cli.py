@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -93,9 +94,9 @@ def _parse_override(text: str) -> tuple[list[str], object]:
 
 def load_config(path, set_flags: list[str] | None = None, seed: int | None = None) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise CliError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: top level must be an object")
@@ -239,7 +240,7 @@ def _write_manifest(outdir: Path, command: str, argv: list[str], resolved: dict,
                     extra: dict, started: float) -> None:
     lines = [
         f"command={command}",
-        f"argv={' '.join(argv)}",
+        f"argv={shlex.join(argv)}",
         f"package_version={__version__}",
         f"config={json.dumps(resolved, sort_keys=True, separators=(',', ':'))}",
         *_environment(),
@@ -266,7 +267,7 @@ def _environment() -> list[str]:
 
 
 def _write_lines(lines: list[str], path: Path) -> None:
-    path.write_text("".join(line + "\n" for line in lines), newline="\n")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 
 
 def _eval_line(tag: str, loss: float, top1: float) -> str:
@@ -387,9 +388,8 @@ def cmd_sweep_depth(args) -> Run:
         if tcfg is not None:
             scratch_cfg = replace(tcfg, seed=tcfg.seed + depth)
             scratch = build_model(replace(pack.cfg, depth=depth), scratch_cfg.seed)
-            train_model(scratch, train_data, val_data, scratch_cfg)
-            loss, top1 = evaluate(scratch, val_data, batch_size)
-            rows.append((depth, count_params(scratch), "scratch", loss, top1))
+            final = train_model(scratch, train_data, val_data, scratch_cfg).final
+            rows.append((depth, count_params(scratch), "scratch", final.val_loss, final.top1))
 
     rows.sort(key=lambda r: (r[0], r[2]))
     lines = ["depth,params,method,val_loss,top1"]

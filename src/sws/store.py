@@ -27,7 +27,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -117,8 +116,9 @@ def save(path, kind: str, tensors: "Mapping[str, np.ndarray] | Iterable[tuple[st
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     header += b" " * (_align8(len(header)) - len(header))
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    # os.open with 0o666, not mkstemp's 0o600, so the file gets the mode the umask gives any new file.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".tmp-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(MAGIC)
@@ -305,4 +305,10 @@ def load_logit_cache(path) -> LogitCache:
         dataset_hash = int(meta["dataset_hash"], 16)
     except (KeyError, TypeError, ValueError):
         raise HeaderError(f"{path}: header meta needs a hex 'dataset_hash'") from None
+    if not 0 <= dataset_hash < 2**64:
+        raise HeaderError(f"{path}: 'dataset_hash' {meta['dataset_hash']!r} is not a 64-bit digest")
+    rows = meta.get("rows")
+    if not is_int(rows) or rows != arrays["logits"].shape[0]:
+        raise HeaderError(f"{path}: header meta 'rows' is {rows!r}, its 'logits' tensor has "
+                          f"{arrays['logits'].shape[0]} rows")
     return LogitCache(logits=arrays["logits"], dataset_hash=dataset_hash)

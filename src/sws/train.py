@@ -11,8 +11,8 @@ keyed by the dataset's content hash; a live teacher model handed to
 train_model becomes that cache before the first step.
 
 All shuffling is SplitMix64-driven, so a (seed, config, data) triple fixes the
-whole run. Wall-clock time is recorded per epoch for humans but is kept out of
-the metrics CSV by default so that replayed runs produce byte-identical files.
+whole run. Wall-clock time per epoch stays in Metrics.rows; the metrics CSV's
+seconds column is always 0.000, so replayed runs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -282,19 +282,18 @@ class Metrics:
     def final(self) -> EpochRow:
         return self.rows[-1]
 
-    def write_csv(self, path, wallclock: bool = False) -> None:
+    def write_csv(self, path) -> None:
         """One row per epoch, epoch 0 being the untrained evaluation.
 
-        The seconds column is zeroed unless wallclock=True: measured times
-        differ between byte-identical replays, and the CSV is the artifact
-        replays are compared on.
+        The seconds column is always 0.000: measured times differ between
+        byte-identical replays, and the CSV is the artifact replays are
+        compared on. The times stay in ``rows``.
         """
         with open(path, "w", newline="") as fh:
             fh.write("epoch,train_loss,val_loss,top1,seconds\n")
             for r in self.rows:
                 tl = "" if r.train_loss is None else f"{r.train_loss:.6f}"
-                secs = f"{r.seconds:.3f}" if wallclock else "0.000"
-                fh.write(f"{r.epoch},{tl},{r.val_loss:.6f},{r.top1:.6f},{secs}\n")
+                fh.write(f"{r.epoch},{tl},{r.val_loss:.6f},{r.top1:.6f},0.000\n")
 
 
 def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg: TrainConfig,

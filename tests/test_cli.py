@@ -1,4 +1,5 @@
 import json
+import shlex
 import tracemalloc
 import warnings
 
@@ -221,6 +222,15 @@ def test_manifest_records_the_argv_main_was_given(tmp_path, monkeypatch):
     assert f"argv={' '.join(argv)}" in (out / "manifest.txt").read_text().splitlines()
 
 
+def test_manifest_argv_splits_back_into_the_arguments(tmp_path):
+    pack, out = tmp_path / "it's a pack.sws", tmp_path / "out dir"
+    _save_pack(pack)
+    argv = ["init-des", "--pack", str(pack), "--depth", "3", "--out", str(out)]
+    assert main(argv) == 0
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert shlex.split(next(ln for ln in lines if ln.startswith("argv="))[len("argv="):]) == argv
+
+
 def test_seed_flag_changes_the_run(tmp_path):
     cfg = write_config(tmp_path)
     a, b = tmp_path / "s1", tmp_path / "s2"
@@ -367,6 +377,14 @@ def test_exit_5_on_numeric_blowup(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--checkpoint", str(bad)]) == 5
+
+
+def test_exit_2_on_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x"
+    cfg.write_bytes(b'{"model": \xff}')
+    assert main(["train-teacher", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}: not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -588,10 +606,12 @@ def test_sweep_depth_honours_eval_batch_size(tmp_path, monkeypatch):
         return evaluate(model, data, batch_size)
 
     monkeypatch.setattr(sws.cli, "evaluate", spy)
+    monkeypatch.setattr(sws.train, "evaluate", spy)
     assert main(["sweep-depth", "--config", str(write_config(tmp_path, train={"eval_batch_size": 7})),
                  "--out", str(tmp_path / "s"), "--pack", str(pack), "--vanilla", str(vanilla),
                  "--depths", "2,3", "--scratch-epochs", "1"]) == 0
-    assert seen == [7] * 6
+    # Per depth: the sws and simple_lg views, then the scratch run's rows 0 and 1.
+    assert seen == [7] * 8
 
 
 def test_sweep_depth_without_scratch_models_evaluates_owned_validation_rows(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -115,6 +116,18 @@ def test_save_atomic_replace(tmp_path):
         save(path, "checkpoint", {"w": np.array([np.inf, 0.0], np.float32)})
     assert path.read_bytes() == before
     assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_save_gives_the_mode_a_plain_open_gives(tmp_path, umask):
+    before = os.umask(umask)
+    try:
+        save(tmp_path / "x.sws", "checkpoint", {"w": np.zeros(2, np.float32)})
+        open(tmp_path / "plain", "w").close()
+    finally:
+        os.umask(before)
+    mode = stat.S_IMODE(os.stat(tmp_path / "x.sws").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o666 & ~umask
 
 
 def test_load_bad_magic(tmp_path):
@@ -425,6 +438,11 @@ def test_logit_cache_bad_content_rejected(tmp_path):
         ({"logits": np.zeros(4, np.float32)}, good_meta),                            # not 2-D
         ({"logits": np.zeros((2, 2), np.float32), "more": np.zeros(1, np.float32)}, good_meta),
         ({"other": np.zeros((2, 2), np.float32)}, good_meta),
+        ({"logits": np.zeros((4, 2), np.float32)}, {"dataset_hash": "0x1", "rows": 7}),       # rows disagree
+        ({"logits": np.zeros((2, 2), np.float32)}, {"dataset_hash": "0x1"}),                 # no rows
+        ({"logits": np.zeros((2, 2), np.float32)}, {"dataset_hash": "0x1", "rows": 2.0}),    # rows not an int
+        ({"logits": np.zeros((2, 2), np.float32)}, {"dataset_hash": "-0x1", "rows": 2}),     # below 0
+        ({"logits": np.zeros((2, 2), np.float32)}, {"dataset_hash": "0x1ffffffffffffffff", "rows": 2}),  # > 64 bits
     ]
     for arrays, meta in cases:
         save(path, "logitcache", arrays, meta)

@@ -553,10 +553,3 @@ def test_metrics_csv_exact_bytes(tmp_path):
         b"0,,1.234568,0.250000,0.000\n"
         b"1,0.500000,1.000000,0.750000,0.000\n"
     )
-
-
-def test_metrics_csv_wallclock_opt_in(tmp_path):
-    m = Metrics(rows=[EpochRow(0, None, 1.0, 0.5, 3.25)])
-    path = tmp_path / "metrics.csv"
-    m.write_csv(path, wallclock=True)
-    assert b"3.250" in path.read_bytes()
