@@ -68,10 +68,6 @@ class SplitMix64:
 
     # ---- real-valued draws -------------------------------------------------
 
-    def uniform(self) -> float:
-        """One double in [0, 1), top 53 bits over 2**53."""
-        return (self.next_u64() >> 11) / _TWO53
-
     def block_uniform(self, n: int) -> np.ndarray:
         return (self.block_u64(n) >> np.uint64(11)).astype(np.float64) / _TWO53
 

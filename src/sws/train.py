@@ -13,6 +13,9 @@ train_model becomes that cache before the first step.
 All shuffling is SplitMix64-driven, so a (seed, config, data) triple fixes the
 whole run. Wall-clock time per epoch stays in Metrics.rows; the metrics CSV's
 seconds column is always 0.000, so replayed runs give byte-identical files.
+
+train_model, evaluate and cache_teacher_logits run OpenBLAS on one thread, whose
+second would wait for a core another process holds (vit.one_blas_thread).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from . import tensor as T
 from .data import Dataset, batch_iter
 from .rng import derive_seed
 from .tensor import Tensor, backward
-from .vit import FINITE, INT, MAX_SIZE, NUMBER, ModelParams, check, forward_logits, is_int, is_real, unique_named
+from .vit import (FINITE, INT, MAX_SIZE, NUMBER, ModelParams, check, forward_logits, is_int, is_real,
+                  one_blas_thread, unique_named)
 
 SCHEDULES = ("constant", "cosine")
 
@@ -229,6 +233,7 @@ def _frozen_logits(model: ModelParams, data: Dataset, batch_size: int) -> Iterat
         yield forward_logits(frozen, Tensor(images)), labels
 
 
+@one_blas_thread()
 def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 128) -> LogitCache:
     """Frozen teacher forward over the dataset in natural order, graph-free.
     Each batch's logits are written into one preallocated float32 array."""
@@ -243,6 +248,7 @@ def cache_teacher_logits(teacher: ModelParams, data: Dataset, batch_size: int = 
 # ---- evaluation and the loop ------------------------------------------------------
 
 
+@one_blas_thread()
 def evaluate(model: ModelParams, data: Dataset, batch_size: int = 256) -> tuple[float, float]:
     """(mean classification loss, top-1 accuracy) over the dataset in order.
 
@@ -296,6 +302,7 @@ class Metrics:
                 fh.write(f"{r.epoch},{tl},{r.val_loss:.6f},{r.top1:.6f},0.000\n")
 
 
+@one_blas_thread()
 def train_model(model: ModelParams, train_data: Dataset, val_data: Dataset, cfg: TrainConfig,
                 teacher: "LogitCache | ModelParams | None" = None) -> Metrics:
     """Run cfg.epochs of AdamW over the train split, evaluating every epoch.

@@ -12,6 +12,7 @@ top of the same internals here.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.machinery
@@ -29,9 +30,11 @@ LN_EPS = 1e-6
 INIT_STD = 0.02
 
 # A graph-free forward runs in row blocks whose widest activation holds at
-# most this many bytes (768 KiB), so that the two blocks in flight at once
-# fit in about one core's L2 cache. A constant rather than a size read from
-# the machine, so the logits do not depend on the host.
+# most this many bytes (768 KiB): the widest activations of the two blocks in
+# flight at once, 1.5 MiB, fit in a 2 MiB per-core L2 cache, though two whole
+# blocks (about 3.1 MiB each at depth-sweep's shapes) do not. A constant
+# rather than a size read from the machine, so the logits do not depend on
+# the host.
 ROW_BLOCK_BYTES = 3 << 18
 
 # The heap policy, applied once per process at import: freeing one array of
@@ -401,13 +404,9 @@ def _row_blocks(params: ModelParams, blocks: list[Tensor]) -> list[np.ndarray]:
         with np.errstate(all="ignore"):
             return [_logits(params, b).data for b in part]
 
-    blas = openblas_threads() if len(blocks) > 2 and _usable_cpus() > 1 else None
-    if blas is None:
+    if len(blocks) <= 2 or _usable_cpus() <= 1 or openblas_threads() is None:
         return run(blocks)
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
+    with one_blas_thread():
         half = len(blocks) // 2
         side = _helper().submit(run, blocks[half:])
         try:
@@ -415,8 +414,6 @@ def _row_blocks(params: ModelParams, blocks: list[Tensor]) -> list[np.ndarray]:
         finally:
             side.exception()  # waits; the result is read below
         return out + side.result()
-    finally:
-        set_(before)
 
 
 @functools.cache
@@ -457,6 +454,24 @@ def openblas_threads():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
     return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """OpenBLAS held to one thread inside the block, and the caller's count
+    set back on leaving it, also when the block raises; nothing happens when
+    ``openblas_threads()`` is None. The only code that sets the count."""
+    blas = openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def row_block_size(cfg: ModelConfig, itemsize: int) -> int:

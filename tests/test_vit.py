@@ -543,6 +543,71 @@ def test_split_forward_restores_the_blas_thread_count(blas, lane):
     assert blas[0]() == before
 
 
+def test_training_evaluation_and_the_teacher_cache_hold_blas_to_one_thread(monkeypatch, blas):
+    from dataclasses import replace
+
+    import sws.vit as vit
+    from sws.data import make_synthetic
+    from sws.train import TrainConfig, cache_teacher_logits, evaluate, train_model
+
+    train, val = make_synthetic(24, 3, 8, seed=0), make_synthetic(12, 3, 8, seed=1)
+    teacher, cfg = build_model(TINY, seed=3), TrainConfig(epochs=2, batch_size=8, alpha=0.5, seed=4)
+
+    def run(cfg):
+        student = build_model(TINY, seed=2)
+        rows = [(r.epoch, r.train_loss, r.val_loss, r.top1)
+                for r in train_model(student, train, val, cfg, teacher=teacher).rows]
+        cache = cache_teacher_logits(teacher, train).logits
+        return rows, evaluate(student, val), cache, [t.data for _, t in student.named_tensors()]
+
+    before = blas[0]()
+    blas[1](2)
+    try:
+        seen = spy_blocks(monkeypatch, blas)
+        held = run(cfg)
+        # train_model: the teacher cache, row 0's evaluation, then 3 steps and
+        # an evaluation per epoch; then one evaluate and one cache.
+        assert [threads for _, _, threads in seen] == [1] * (1 + 1 + 2 * 4 + 1 + 1)
+        assert blas[0]() == 2
+        seen.clear()
+        with pytest.raises(T.NumericError):  # lr 1e30 overflows the second step's logits
+            run(replace(cfg, lr=1e30))
+        assert len(seen) == 4 and {threads for _, _, threads in seen} == {1}
+        assert blas[0]() == 2
+
+        monkeypatch.setattr(vit, "openblas_threads", lambda: None)
+        seen.clear()
+        free = run(cfg)
+        assert [threads for _, _, threads in seen] == [2] * 12
+    finally:
+        blas[1](before)
+    assert free[:2] == held[:2]
+    for a, b in zip([free[2], *free[3]], [held[2], *held[3]]):
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_import_keeps_the_callers_blas_thread_count():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sws
+    import sws.vit as vit
+
+    if vit.openblas_threads() is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread controls")
+    if vit._usable_cpus() < 2:
+        pytest.skip("OpenBLAS caps its thread count at the CPUs it may use")
+    src = str(Path(sws.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sws.cli; "
+            "from sws.vit import openblas_threads; print(openblas_threads()[0]())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+                         env=env)
+    assert out.stdout.strip() == "2"
+
+
 def test_import_starts_no_thread():
     import subprocess
     import sys
